@@ -23,6 +23,7 @@ from . import classify
 from .classify import PATH, TRIANGLE_WITH_PATHS, CombinedVerdict, licci_verdict
 from .cliques import codim1_conditions, is_chordal, maximal_cliques
 from .degeneration import invariants
+from .errors import TierExceededError
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
@@ -134,7 +135,7 @@ def _worker(args: tuple[str, bool]) -> str:
 def census_graphs(max_n: int, best_effort: bool = False) -> list[Graph]:
     cap = CENSUS_BEST_EFFORT_N if best_effort else CENSUS_MAX_N
     if max_n > cap:
-        raise ValueError(
+        raise TierExceededError(
             f"census tier is {CENSUS_MAX_N} (or {CENSUS_BEST_EFFORT_N} with "
             f"best-effort), got {max_n}"
         )
@@ -145,10 +146,19 @@ def census_graphs(max_n: int, best_effort: bool = False) -> list[Graph]:
 
 
 def default_jobs() -> int:
+    """Requested worker count: BEI_JOBS if set, else all cores."""
     env = os.environ.get("BEI_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"BEI_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Workers actually started: never more than requested, cores or tasks."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 _RECORD_MEMO: dict[tuple[int, bool], dict[str, CensusRecord]] = {}
@@ -171,8 +181,9 @@ def compute_records(
     lines: dict[str, str] = {k: reuse[k] for k in keys if reuse and k in reuse}
     if todo:
         work = [(k, best_effort) for k in todo]
-        if jobs > 1 and len(todo) > 8:
-            with get_context("fork").Pool(jobs) as pool:
+        workers = _pool_size(jobs, len(todo))
+        if workers > 1 and len(todo) > 8:
+            with get_context("fork").Pool(workers) as pool:
                 results = pool.map(_worker, work, chunksize=8)
         else:
             results = [_worker(w) for w in work]

@@ -29,6 +29,20 @@ def _fail_budget(exc: Exception) -> None:
     sys.exit(3)
 
 
+def _fail_vacuous(max_n: int) -> None:
+    click.echo(f"error: no instances at --max-n {max_n}; nothing was checked", err=True)
+    sys.exit(2)
+
+
+def _jobs(jobs) -> int:
+    if jobs:
+        return jobs
+    try:
+        return default_jobs()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 @click.group()
 def main() -> None:
     """Exact invariants of binomial edge ideals of small graphs."""
@@ -50,6 +64,8 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
             G = parse_graph6(graph6_text.encode("ascii"))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    if not G.edge_count():
+        raise click.UsageError("edgeless graph: its binomial edge ideal is zero")
     try:
         record = analyze_graph(G, best_effort)
     except (TierExceededError, ResourceBudgetError) as exc:
@@ -74,9 +90,10 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
 @click.option("--best-effort", is_flag=True, help="allow n=8")
 def census_cmd(max_n, out_path, jobs, best_effort) -> None:
     """All connected classes with edges up to --max-n, as sorted JSONL."""
+    jobs = _jobs(jobs)
     try:
-        records = run_census(max_n, out_path, jobs or default_jobs(), best_effort)
-    except (TierExceededError, ResourceBudgetError, ValueError) as exc:
+        records = run_census(max_n, out_path, jobs, best_effort)
+    except (TierExceededError, ResourceBudgetError) as exc:
         _fail_budget(exc)
         return
     click.echo(f"wrote {len(records)} records to {out_path}")
@@ -93,8 +110,9 @@ def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
         raise click.UsageError(
             f"unknown theorem {theorem_id!r}; choose from: " + ", ".join(sorted(THEOREMS))
         )
+    jobs = _jobs(jobs)
     try:
-        report = run_verification(theorem_id, max_n, jobs or default_jobs())
+        report = run_verification(theorem_id, max_n, jobs)
     except (TierExceededError, ResourceBudgetError) as exc:
         _fail_budget(exc)
         return
@@ -108,6 +126,8 @@ def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
         )
         for v in report.violations:
             click.echo(f"  VIOLATION {v['graph6']} {v['detail']}")
+    if not report.instances:
+        _fail_vacuous(max_n)
     sys.exit(0 if report.ok() else 1)
 
 
@@ -127,6 +147,8 @@ def oracle_cmd(check, max_n, out_path) -> None:
     except (TierExceededError, ResourceBudgetError) as exc:
         _fail_budget(exc)
         return
+    if not instances:
+        _fail_vacuous(max_n)
     if out_path:
         write_fixtures(fixtures, out_path)
     click.echo(f"{check}: {instances} instances, {len(violations)} violations")

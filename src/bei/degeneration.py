@@ -6,13 +6,26 @@ with x_1 > ... > x_n > y_1 > ... > y_n; that order is part of the module
 contract.
 
 Graded Betti numbers of a squarefree monomial quotient are computed from
-reduced homology of induced subcomplexes of the Stanley-Reisner complex.
-Only the subsets that are unions of generator supports can contribute: any
-other subset has a vertex in no contained generator, and coning over that
-vertex kills all reduced homology.  Subsets additionally factor into a join
-over the connected blocks of their generators, so each block's homology is
-computed once and combined.  All homology ranks are over the rationals via
-integer elimination; no floating point is used anywhere.
+reduced homology of induced subcomplexes of the Stanley-Reisner complex
+(Hochster's formula).  Only the subsets that are unions of generator supports
+can contribute: any other subset has a vertex in no contained generator, and
+coning over that vertex kills all reduced homology.  Subsets additionally
+factor into a join over the connected blocks of their generators, so each
+block's homology is computed once and combined.
+
+A block's homology is read off a relative chain complex instead of the full
+face table.  For any vertex v of a complex D, the star of v is a cone, so the
+long exact sequence of the pair gives H~(D) = H(D, star v), and the faces of D
+outside star v are exactly the faces F with v not in F and F + v a non-face,
+i.e. the chain groups of (del v, link v).  For a complex given by minimal
+non-faces these are the faces of D avoiding v that contain g - v for some
+generator g through v; they are enumerated directly, for the v that lies in
+the fewest generators.  The boundary map is the ordinary one with the faces
+of star v dropped, so the same exact rank routine serves the absolute and the
+relative case.  This is one step of an element matching (Jonsson, Simplicial
+Complexes of Graphs, LNM 1928) or a discrete Morse matching (Forman, 1998);
+the isomorphism holds over the integers, and all ranks are over the
+rationals via integer elimination.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -45,12 +58,6 @@ def x_slot(n: int, v: int) -> int:
 
 def y_slot(n: int, v: int) -> int:
     return 1 << (n + v - 1)
-
-
-def slot_names(n: int) -> tuple[str, ...]:
-    return tuple(f"x{v}" for v in range(1, n + 1)) + tuple(
-        f"y{v}" for v in range(1, n + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,63 @@ def _faces_by_size(universe: int, gens) -> dict[int, list[int]]:
     return faces
 
 
+def _relative_faces(universe: int, gens) -> dict[int, list[int]]:
+    """Chain groups of (del v, link v), v the vertex in fewest generators.
+
+    These are the subsets F of ``universe`` with v not in F that contain no
+    generator but contain g - v for some generator g through v, grouped by
+    size.  Their relative homology is the reduced homology of the complex on
+    ``universe`` avoiding ``gens``; ``universe`` must be nonempty.
+    """
+    verts = [u for u in range(universe.bit_length()) if universe >> u & 1]
+    v = min(verts, key=lambda u: sum(g >> u & 1 for g in gens))
+    vb = 1 << v
+    anchors = [g ^ vb for g in gens if g & vb]
+    if not anchors:
+        return {}  # the complex is a cone over v
+    covered = 0
+    for a in anchors:
+        covered |= a
+    # anchor vertices first: once they are all decided, a branch either
+    # already contains an anchor or can never reach one
+    order = sorted(
+        (u for u in verts if u != v), key=lambda u: not covered >> u & 1
+    )
+    by_u = {
+        u: [g & ~(1 << u) for g in gens if g >> u & 1 and not g & vb]
+        for u in order
+    }
+    faces: dict[int, list[int]] = {}
+
+    def rec(start: int, face: int, size: int, open_) -> None:
+        # open_ lists the anchors the branch can still reach; None once the
+        # face contains one, so that every extension is a chain
+        skipped = 0
+        for idx in range(start, len(order)):
+            u = order[idx]
+            if open_ is not None:
+                reach = [a for a in open_ if not a & skipped]
+                if not reach:
+                    return
+            skipped |= 1 << u
+            if any(g & ~face == 0 for g in by_u[u]):
+                continue
+            nf = face | 1 << u
+            child = None
+            if open_ is not None and all(a & ~nf for a in reach):
+                child = reach
+            else:
+                faces.setdefault(size + 1, []).append(nf)
+            rec(idx + 1, nf, size + 1, child)
+
+    if 0 in anchors:
+        faces[0] = [0]
+        rec(0, 0, 0, None)
+    else:
+        rec(0, 0, 0, anchors)
+    return faces
+
+
 def _normalized(col: dict[int, int]) -> dict[int, int]:
     g = 0
     for v in col.values():
@@ -224,11 +288,17 @@ def _rank_of_columns(cols) -> int:
 
 
 def _homology_ranks(faces: dict[int, list[int]]) -> dict[int, int]:
-    """Reduced homology ranks per dimension from a face table (must contain {}).
+    """Homology ranks per dimension of the chain complex spanned by ``faces``.
 
-    Dimension d runs from -1 to (max face size) - 1; the empty face spans the
-    degree -1 chain group, so the d = 0 boundary map is the augmentation.
+    A face of size k spans the chain group of dimension k - 1, so the empty
+    face, when present, gives the degree -1 group and the d = 0 boundary map
+    is the augmentation.  A boundary face missing from the table lies in the
+    subcomplex being divided out and is dropped: a full face table gives
+    reduced homology, a table of relative faces gives relative homology.
+    Dimension d runs from -1 to (max face size) - 1.
     """
+    if not faces:
+        return {}
     max_size = max(faces)
     rank_bd: dict[int, int] = {}
     for size in range(1, max_size + 1):
@@ -241,7 +311,9 @@ def _homology_ranks(faces: dict[int, list[int]]) -> dict[int, int]:
             while m:
                 b = m & -m
                 m ^= b
-                col[lower[f ^ b]] = sign
+                i = lower.get(f ^ b)
+                if i is not None:
+                    col[i] = sign
                 sign = -sign
             cols.append(col)
         rank_bd[size - 1] = _rank_of_columns(cols)
@@ -361,7 +433,7 @@ def _part_homology(mask: int, gens: tuple[int, ...]) -> dict[int, int]:
     key = tuple(sorted(packed))
     vec = _PART_CACHE.get(key)
     if vec is None:
-        ranks = _homology_ranks(_faces_by_size((1 << len(bits)) - 1, packed))
+        ranks = _homology_ranks(_relative_faces((1 << len(bits)) - 1, packed))
         vec = {d: r for d, r in ranks.items() if r}
         _PART_CACHE[key] = vec
     return vec

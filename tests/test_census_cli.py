@@ -131,6 +131,9 @@ def test_cli_analyze():
     assert res.exit_code == 2
     res = runner.invoke(main, ["analyze", "--edges", "3;1-9"])
     assert res.exit_code == 2
+    for flag, text in (("--edges", "3;"), ("--graph6", "B?")):  # edgeless
+        res = runner.invoke(main, ["analyze", flag, text])
+        assert res.exit_code == 2 and "edgeless" in res.output
 
 
 def test_cli_census_and_verify(tmp_path):
@@ -144,6 +147,24 @@ def test_cli_census_and_verify(tmp_path):
     assert res.exit_code == 0 and "violations 0" in res.output
     res = runner.invoke(main, ["verify", "--theorem", "bogus", "--max-n", "4"])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "8"])
+    assert res.exit_code == 3 and "census tier" in res.output
+    res = runner.invoke(
+        main, ["census", "--max-n", "3", "--out", str(out)], env={"BEI_JOBS": "many"}
+    )
+    assert res.exit_code == 2 and "BEI_JOBS" in res.output
+
+
+def test_cli_no_vacuous_pass(tmp_path):
+    runner = CliRunner()
+    fx = tmp_path / "fixtures.jsonl"
+    res = runner.invoke(
+        main, ["oracle", "--check", "colon", "--max-n", "0", "--out", str(fx)]
+    )
+    assert res.exit_code == 2 and "no instances" in res.output
+    assert not fx.exists()
+    res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "1"])
+    assert res.exit_code == 2 and "no instances" in res.output
 
 
 def test_cli_oracle_fixtures(tmp_path):
@@ -163,5 +184,22 @@ def test_jobs_env_override(monkeypatch):
 
     monkeypatch.setenv("BEI_JOBS", "3")
     assert default_jobs() == 3
+    monkeypatch.setenv("BEI_JOBS", "64")
+    assert default_jobs() == 64  # the request; the pool is capped separately
+    monkeypatch.setenv("BEI_JOBS", "many")
+    with pytest.raises(ValueError, match="BEI_JOBS"):
+        default_jobs()
     monkeypatch.delenv("BEI_JOBS")
     assert default_jobs() >= 1
+
+
+def test_pool_size_is_capped(monkeypatch):
+    import bei.census as census_mod
+
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
+    assert census_mod._pool_size(64, 1000) == 4
+    assert census_mod._pool_size(64, 3) == 3
+    assert census_mod._pool_size(2, 1000) == 2
+    assert census_mod._pool_size(1, 0) == 1
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: None)
+    assert census_mod._pool_size(8, 100) == 1

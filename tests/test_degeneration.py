@@ -3,11 +3,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bei import degeneration
+from bei.census import census_graphs
 from bei.cliques import SimplicialComplex, maximal_cliques
 from bei.degeneration import (
+    _faces_by_size,
+    _homology_ranks,
+    _relative_faces,
     admissible_paths,
     betti_table,
     colon_generators,
@@ -149,6 +154,53 @@ def test_reduced_homology_euler_characteristic():
                 sub = (sub - 1) & f
         euler = sum((-1) ** (f.bit_count() - 1) for f in faces)
         assert euler == sum((-1) ** d * r for d, r in ranks.items())
+
+
+# --- the relative kernel (del v, link v) against the full face table
+
+
+def nonzero(ranks):
+    return {d: r for d, r in ranks.items() if r}
+
+
+def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
+    # every distinct part the n <= 6 census hands to the kernel
+    cache = {}
+    monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
+    for g in census_graphs(6):
+        betti_table(initial_ideal(g))
+    assert len(cache) == 19203
+    for key, vec in cache.items():
+        universe = 0
+        for g in key:
+            universe |= g
+        assert vec == nonzero(_homology_ranks(_faces_by_size(universe, key))), key
+
+
+@st.composite
+def squarefree_complexes(draw):
+    """(universe, minimal generators), with degree-1 generators and cone vertices."""
+    nv = draw(st.integers(min_value=1, max_value=7))
+    top = (1 << nv) - 1
+    gens = draw(st.lists(st.integers(min_value=1, max_value=top), max_size=5))
+    gens += draw(
+        st.lists(st.integers(min_value=0, max_value=nv - 1).map(lambda i: 1 << i), max_size=2)
+    )
+    universe = draw(st.integers(min_value=1, max_value=top))
+    for g in gens:
+        universe |= g
+    return universe, monomial_ideal(nv, gens).min_gens
+
+
+@given(squarefree_complexes())
+@example((0b11, (0b01, 0b10)))  # only the empty face survives: H_{-1} = 1
+@example((0b111, (0b011,)))  # a cone over bit 2: no relative chains at all
+@settings(max_examples=200, deadline=None)
+def test_relative_faces_against_full_face_table(case):
+    universe, gens = case
+    assert nonzero(_homology_ranks(_relative_faces(universe, gens))) == nonzero(
+        _homology_ranks(_faces_by_size(universe, gens))
+    )
 
 
 # --- independent Hochster oracle: literal subset scan, dense Fraction ranks
