@@ -3,9 +3,10 @@
 The census walks every isomorphism class of connected graphs with at least
 one edge up to a vertex cap, runs the full pipeline on each, and persists
 flat JSONL sorted by (n, canonical form).  Worker processes only change wall
-time, never bytes: records are merged and sorted before writing.  A sidecar
-index pins the pipeline version; records from another version are recomputed
-rather than reused.
+time, never bytes: records are merged and sorted before writing.  Both files
+are replaced atomically, and a sidecar index pins the pipeline version and
+the JSONL's sha256; records from another version or from bytes that do not
+match the hash are recomputed rather than reused.
 """
 
 from __future__ import annotations
@@ -193,44 +194,66 @@ def compute_records(
     return records
 
 
+def _read_reusable(out_path: str, idx_path: str) -> dict[str, str]:
+    """Records of a previous census, only if its index vouches for them: same
+    pipeline version and the sha256 of exactly the bytes on disk."""
+    try:
+        with open(idx_path) as fh:
+            idx = json.load(fh)
+        with open(out_path, "rb") as fh:
+            data = fh.read()
+        if idx.get("version") != PIPELINE_VERSION:
+            return {}
+        if idx.get("sha256") != hashlib.sha256(data).hexdigest():
+            return {}
+        lines = data.decode("utf-8").splitlines()
+        return {json.loads(line)["graph6"]: line for line in lines if line}
+    except (OSError, ValueError, KeyError, AttributeError, TypeError):
+        return {}
+
+
+def _replace_atomically(path: str, data: bytes) -> None:
+    """Write to a temporary file in the same directory, then rename it over path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def run_census(
     max_n: int,
     out_path: str,
     jobs: Optional[int] = None,
     best_effort: bool = False,
 ) -> list[CensusRecord]:
-    """Write one JSONL record per class, canonical order, plus an index sidecar."""
-    reuse: dict[str, str] = {}
+    """Write one JSONL record per class, canonical order, plus an index sidecar.
+
+    Both files are replaced atomically, the JSONL first; the index pins the
+    JSONL's sha256, so a torn or edited JSONL is recomputed, never reused.
+    With no class in the tier, nothing is written and the result is empty.
+    """
     idx_path = out_path + ".idx"
-    if os.path.exists(out_path) and os.path.exists(idx_path):
-        try:
-            with open(idx_path) as fh:
-                idx = json.load(fh)
-            if idx.get("version") == PIPELINE_VERSION:
-                with open(out_path) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            reuse[json.loads(line)["graph6"]] = line
-        except (OSError, ValueError, KeyError):
-            reuse = {}
+    reuse = _read_reusable(out_path, idx_path)
     records = compute_records(max_n, jobs, best_effort, reuse or None)
     ordered = sorted(
         records.values(), key=lambda r: (r.n, r.graph6.encode("ascii"))
     )
-    with open(out_path, "w") as fh:
-        for rec in ordered:
-            fh.write(rec.to_json() + "\n")
-    with open(idx_path, "w") as fh:
-        json.dump(
-            {
-                "version": PIPELINE_VERSION,
-                "max_n": max_n,
-                "count": len(ordered),
-                "keys": [r.graph6 for r in ordered],
-            },
-            fh,
-        )
+    if not ordered:
+        return []
+    data = "".join(rec.to_json() + "\n" for rec in ordered).encode("utf-8")
+    index = {
+        "version": PIPELINE_VERSION,
+        "max_n": max_n,
+        "count": len(ordered),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "keys": [r.graph6 for r in ordered],
+    }
+    _replace_atomically(out_path, data)
+    _replace_atomically(idx_path, json.dumps(index).encode("utf-8"))
     return ordered
 
 

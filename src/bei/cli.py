@@ -86,7 +86,8 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
 @main.command("census")
 @click.option("--max-n", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--jobs", type=int, default=None, help="workers (default: BEI_JOBS or all cores)")
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="workers (default: BEI_JOBS or all cores)")
 @click.option("--best-effort", is_flag=True, help="allow n=8")
 def census_cmd(max_n, out_path, jobs, best_effort) -> None:
     """All connected classes with edges up to --max-n, as sorted JSONL."""
@@ -96,13 +97,15 @@ def census_cmd(max_n, out_path, jobs, best_effort) -> None:
     except (TierExceededError, ResourceBudgetError) as exc:
         _fail_budget(exc)
         return
+    if not records:
+        _fail_vacuous(max_n)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
 @main.command("verify")
 @click.option("--theorem", "theorem_id", required=True)
 @click.option("--max-n", type=int, required=True)
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
     """Exhaustive sweep of one statement over its graph class."""

@@ -5,6 +5,17 @@ normal selection strategy and both classical skip criteria under hard
 budgets (variable count, pair count, degree) that raise explicit resource
 errors instead of running away.  Intersections and colons go through one
 auxiliary elimination variable ranked above everything else.
+
+Monomials are packed into one integer each (the packed exponent vectors of
+Monagan and Pearce, CASC 2007).  Every variable owns an 8-bit field, 7 value
+bits under one guard bit, and variable 0 (t when present, then x_1.., y_1..)
+sits in the most significant field.  So lex comparison is integer
+comparison, multiplication and division are addition and subtraction, and
+divisibility and lcm are a few operations on the guard bits; degrevlex goes
+through an integer sort key.  An exponent above 127 does not fit its field:
+building or creating such a monomial raises ResourceBudgetError, it never
+wraps.  The public interface still speaks exponent tuples: the constructor
+takes {exponent tuple: coefficient} and ``lt()`` returns an exponent tuple.
 """
 
 from __future__ import annotations
@@ -28,10 +39,18 @@ MAX_BASIS = 400
 LEX_XY = "lexxy"
 DEGREVLEX = "degrevlex"
 
+_FIELD_BITS = 8
+_MAX_EXPONENT = 0x7F  # value bits of a field; bit 7 is its guard
+
 
 @dataclass(frozen=True)
 class PolyContext:
-    """Variable layout [t?] x_1..x_n y_1..y_n with t (when present) greatest."""
+    """Variable layout [t?] x_1..x_n y_1..y_n with t (when present) greatest.
+
+    ``_guard`` has the guard bit of every field set; ``_key`` is None for
+    lex, where a packed monomial is its own sort key, and the integer
+    degrevlex key otherwise.
+    """
 
     n: int
     order: str = LEX_XY
@@ -42,6 +61,9 @@ class PolyContext:
             raise ValueError(f"unknown order {self.order!r}")
         if self.aux and self.order != LEX_XY:
             raise ValueError("the auxiliary elimination variable needs the lex order")
+        guard = int.from_bytes(bytes([_MAX_EXPONENT + 1]) * self.nvars, "big")
+        object.__setattr__(self, "_guard", guard)
+        object.__setattr__(self, "_key", None if self.order == LEX_XY else self._degrevlex_key)
 
     @property
     def nvars(self) -> int:
@@ -59,46 +81,70 @@ class PolyContext:
         )
         return (("t",) + names) if self.aux else names
 
-    def key(self, exps: tuple[int, ...]):
-        if self.order == LEX_XY:
-            return exps
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+    def _pack(self, exps) -> int:
+        if len(exps) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
+        if any(e > _MAX_EXPONENT for e in exps):
+            raise _overflow()
+        return int.from_bytes(bytes(exps), "big")  # negative exponents: ValueError
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(m.to_bytes(self.nvars, "big"))
+
+    def _degrevlex_key(self, m: int) -> int:
+        """Degrevlex as an integer: total degree first; on a tie the smaller
+        exponent at the last differing variable wins.  The fields read with
+        variable 0 least significant compare that variable first, so they
+        are subtracted from the degree, which sits above them."""
+        b = m.to_bytes(self.nvars, "big")
+        return (sum(b) << (_FIELD_BITS * len(b))) - int.from_bytes(b, "little")
 
 
-def _m_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _overflow() -> ResourceBudgetError:
+    return ResourceBudgetError(
+        f"an exponent exceeds {_MAX_EXPONENT}, the field width of a packed monomial"
+    )
 
 
-def _m_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _divides(a: int, b: int, guard: int) -> bool:
+    """a | b: no field of b - a borrows from its guard bit."""
+    return ((b | guard) - a) & guard == guard
 
 
-def _m_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _m_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _m_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Fieldwise max: the guard bits of (a | guard) - b mark the fields where
+    a >= b and widen into a mask over their value bits."""
+    ge = ((a | guard) - b) & guard
+    mask = ge - (ge >> (_FIELD_BITS - 1))
+    return (a & mask) | (b & ~mask)
 
 
 class Polynomial:
-    """Exact multivariate polynomial; terms map exponent tuple -> Fraction."""
+    """Exact multivariate polynomial; terms map packed monomial -> Fraction."""
 
-    __slots__ = ("ctx", "terms", "_lt")
+    __slots__ = ("ctx", "terms", "_lt", "_tail")
 
     def __init__(self, ctx: PolyContext, terms: Optional[dict] = None):
+        """``terms`` maps exponent tuples to anything Fraction accepts."""
         self.ctx = ctx
         self.terms = {}
+        self._lt = None
+        self._tail = None
         if terms:
-            for m, c in terms.items():
+            for exps, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    self.terms[m] = c
-        self._lt = None
+                    self.terms[ctx._pack(exps)] = c
+
+    @classmethod
+    def _make(cls, ctx: PolyContext, terms: dict) -> "Polynomial":
+        """Wrap packed terms whose coefficients are already nonzero Fractions."""
+        p = cls.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        p._lt = None
+        p._tail = None
+        return p
 
     # builders -------------------------------------------------------------
     @classmethod
@@ -119,20 +165,34 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lt(self) -> tuple[tuple[int, ...], Fraction]:
+    def _lead(self) -> tuple[int, Fraction]:
+        """Packed lead monomial and its coefficient."""
         if self._lt is None:
-            m = max(self.terms, key=self.ctx.key)
+            key = self.ctx._key
+            m = max(self.terms) if key is None else max(self.terms, key=key)
             self._lt = (m, self.terms[m])
         return self._lt
 
+    def _reducer(self) -> tuple[int, tuple]:
+        """Packed lead monomial and the other terms, for reducing by self."""
+        if self._tail is None:
+            lead = self._lead()[0]
+            self._tail = (lead, tuple((m, c) for m, c in self.terms.items() if m != lead))
+        return self._tail
+
+    def lt(self) -> tuple[tuple[int, ...], Fraction]:
+        m, c = self._lead()
+        return self.ctx._unpack(m), c
+
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        width = self.ctx.nvars
+        return max((sum(m.to_bytes(width, "big")) for m in self.terms), default=0)
 
     def monic(self) -> "Polynomial":
-        _, c = self.lt()
+        _, c = self._lead()
         if c == 1:
             return self
-        return Polynomial(self.ctx, {m: v / c for m, v in self.terms.items()})
+        return Polynomial._make(self.ctx, {m: v / c for m, v in self.terms.items()})
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
@@ -143,7 +203,7 @@ class Polynomial:
                 out[m] = w
             elif m in out:
                 del out[m]
-        return Polynomial(self.ctx, out)
+        return Polynomial._make(self.ctx, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
@@ -153,29 +213,36 @@ class Polynomial:
                 out[m] = w
             elif m in out:
                 del out[m]
-        return Polynomial(self.ctx, out)
+        return Polynomial._make(self.ctx, out)
 
     def __neg__(self):
-        return Polynomial(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        guard = self.ctx._guard
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _m_mul(m1, m2)
+                m = m1 + m2
+                if m & guard:
+                    raise _overflow()
                 w = out.get(m, 0) + c1 * c2
                 if w:
                     out[m] = w
                 elif m in out:
                     del out[m]
-        return Polynomial(self.ctx, out)
+        return Polynomial._make(self.ctx, out)
 
-    def shifted(self, mono, coeff=1):
-        """self * coeff * x^mono."""
-        coeff = Fraction(coeff)
-        return Polynomial(
-            self.ctx, {_m_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        )
+    def shifted(self, mono: int):
+        """self * x^mono, for a packed monomial ``mono``."""
+        guard = self.ctx._guard
+        out = {}
+        for m, c in self.terms.items():
+            m += mono
+            if m & guard:
+                raise _overflow()
+            out[m] = c
+        return Polynomial._make(self.ctx, out)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -186,13 +253,14 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "0"
-        names = self.ctx.var_names()
+        ctx = self.ctx
+        names = ctx.var_names()
         parts = []
-        for m in sorted(self.terms, key=self.ctx.key, reverse=True):
+        for m in sorted(self.terms, key=ctx._key, reverse=True):
             c = self.terms[m]
             body = "*".join(
                 f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(m)
+                for i, e in enumerate(ctx._unpack(m))
                 if e
             )
             parts.append(f"{c}" if not body else (body if c == 1 else f"{c}*{body}"))
@@ -219,20 +287,22 @@ class Ideal:
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Full remainder of f modulo a list of monic polynomials."""
     ctx = f.ctx
-    key = ctx.key
-    lts = [(g.lt()[0], g) for g in basis]
+    key = ctx._key
+    guard = ctx._guard
+    reducers = [g._reducer() for g in basis]
     work = dict(f.terms)
     out: dict = {}
     while work:
-        m = max(work, key=key)
+        m = max(work) if key is None else max(work, key=key)
         c = work.pop(m)
-        for lt_g, g in lts:
-            if _m_divides(lt_g, m):
-                shift = _m_div(m, lt_g)
-                for mg, cg in g.terms.items():
-                    if mg == lt_g:
-                        continue
-                    mm = _m_mul(mg, shift)
+        top = m | guard
+        for lead, tail in reducers:
+            if (top - lead) & guard == guard:  # lead divides m, as in _divides
+                shift = m - lead
+                for mg, cg in tail:
+                    mm = mg + shift
+                    if mm & guard:
+                        raise _overflow()
                     w = work.get(mm, 0) - c * cg
                     if w:
                         work[mm] = w
@@ -241,14 +311,14 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         else:
             out[m] = c
-    return Polynomial(ctx, out)
+    return Polynomial._make(ctx, out)
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, _ = f.lt()
-    lg, _ = g.lt()
-    lcm = _m_lcm(lf, lg)
-    return f.shifted(_m_div(lcm, lf)) - g.shifted(_m_div(lcm, lg))
+    lf = f._lead()[0]
+    lg = g._lead()[0]
+    lcm = _lcm(lf, lg, f.ctx._guard)
+    return f.shifted(lcm - lf) - g.shifted(lcm - lg)
 
 
 def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
@@ -263,19 +333,27 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
             raise ResourceBudgetError(
                 f"generator degree {g.degree()} exceeds budget {MAX_INPUT_DEGREE}"
             )
-    key = ctx.key
+    key = ctx._key
+    guard = ctx._guard
+
+    def lead_key(g: Polynomial):
+        m = g._lead()[0]
+        return m if key is None else key(m)
+
     basis: list[Polynomial] = []
     for g in I.gens:
         h = normal_form(g, basis)
         if not h.is_zero():
             basis.append(h.monic())
+    leads = [g._lead()[0] for g in basis]
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
     def push_pairs(j: int) -> None:
+        lj = leads[j]
         for i in range(j):
-            lcm = _m_lcm(basis[i].lt()[0], basis[j].lt()[0])
-            heappush(heap, (key(lcm), lcm, i, j))
+            lcm = _lcm(leads[i], lj, guard)
+            heappush(heap, (lcm if key is None else key(lcm), lcm, i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -288,14 +366,14 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
         processed += 1
         if processed > MAX_PAIRS:
             raise ResourceBudgetError(f"pair budget {MAX_PAIRS} exceeded")
-        fi, fj = basis[i], basis[j]
-        if _m_coprime(fi.lt()[0], fj.lt()[0]):
-            continue
+        if lcm == leads[i] + leads[j]:
+            continue  # coprime leads
+        top = lcm | guard
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _m_divides(basis[k].lt()[0], lcm):
+            if (top - leads[k]) & guard == guard:  # leads[k] divides lcm
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -303,20 +381,23 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
                     break
         if skip:
             continue
-        h = normal_form(_spoly(fi, fj), basis)
+        h = normal_form(_spoly(basis[i], basis[j]), basis)
         if h.is_zero():
             continue
         if h.degree() > MAX_RUN_DEGREE:
             raise ResourceBudgetError(f"degree budget {MAX_RUN_DEGREE} exceeded")
-        basis.append(h.monic())
+        h = h.monic()
+        basis.append(h)
+        leads.append(h._lead()[0])
         if len(basis) > MAX_BASIS:
             raise ResourceBudgetError(f"basis size budget {MAX_BASIS} exceeded")
         push_pairs(len(basis) - 1)
 
     # minimalize: keep only leads not divisible by another kept lead
     minimal: list[Polynomial] = []
-    for f in sorted(basis, key=lambda g: key(g.lt()[0])):
-        if not any(_m_divides(g.lt()[0], f.lt()[0]) for g in minimal):
+    for f in sorted(basis, key=lead_key):
+        lf = f._lead()[0]
+        if not any(_divides(g._lead()[0], lf, guard) for g in minimal):
             minimal.append(f)
     # tail-reduce to the unique reduced basis
     changed = True
@@ -328,11 +409,13 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
             if r.terms != f.terms:
                 minimal[idx] = r.monic()
                 changed = True
-    minimal.sort(key=lambda g: key(g.lt()[0]), reverse=True)
+    minimal.sort(key=lead_key, reverse=True)
     # self-check: every S-polynomial of the final basis reduces to zero
     for i in range(len(minimal)):
+        li = minimal[i]._lead()[0]
         for j in range(i + 1, len(minimal)):
-            if _m_coprime(minimal[i].lt()[0], minimal[j].lt()[0]):
+            lj = minimal[j]._lead()[0]
+            if _lcm(li, lj, guard) == li + lj:
                 continue
             if not normal_form(_spoly(minimal[i], minimal[j]), minimal).is_zero():
                 raise AssertionError("reduced basis failed the S-polynomial check")
@@ -351,12 +434,14 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def _lift(f: Polynomial, actx: PolyContext) -> Polynomial:
-    return Polynomial(actx, {(0,) + m: c for m, c in f.terms.items()})
+    """Into the context with t: t is the top field, so the keys stay."""
+    return Polynomial._make(actx, f.terms)
 
 
 def _project(f: Polynomial, ctx: PolyContext) -> Polynomial:
-    assert all(m[0] == 0 for m in f.terms)
-    return Polynomial(ctx, {m[1:]: c for m, c in f.terms.items()})
+    """Back from the context with t, for a polynomial free of t."""
+    assert all(m >> (_FIELD_BITS * ctx.nvars) == 0 for m in f.terms)
+    return Polynomial._make(ctx, f.terms)
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -372,33 +457,38 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     gens = [t * _lift(g, actx) for g in I.gens]
     gens += [(one - t) * _lift(g, actx) for g in J.gens]
     gb = buchberger(Ideal(actx, gens))
-    kept = [_project(p, ctx) for p in gb if p.lt()[0][0] == 0]
+    t_unit = 1 << (_FIELD_BITS * ctx.nvars)
+    kept = [_project(p, ctx) for p in gb if p._lead()[0] < t_unit]
     return Ideal(ctx, kept)
 
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     ctx = f.ctx
-    glt, glc = g.lt()
+    key = ctx._key
+    guard = ctx._guard
+    glt, glc = g._lead()
     work = dict(f.terms)
     out: dict = {}
     while work:
-        m = max(work, key=ctx.key)
+        m = max(work) if key is None else max(work, key=key)
         c = work.pop(m)
-        if not _m_divides(glt, m):
+        if not _divides(glt, m, guard):
             raise ArithmeticError("division is not exact")
-        q = _m_div(m, glt)
+        q = m - glt
         qc = c / glc
         out[q] = qc
         for mg, cg in g.terms.items():
             if mg == glt:
                 continue
-            mm = _m_mul(mg, q)
+            mm = mg + q
+            if mm & guard:
+                raise _overflow()
             w = work.get(mm, 0) - qc * cg
             if w:
                 work[mm] = w
             elif mm in work:
                 del work[mm]
-    return Polynomial(ctx, out)
+    return Polynomial._make(ctx, out)
 
 
 def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,19 +57,60 @@ def test_census_small(tmp_path):
     assert idx["version"] == PIPELINE_VERSION and idx["count"] == 3
 
 
-def test_census_idempotent_and_worker_independent(tmp_path):
-    a, b, c = (tmp_path / x for x in ("a.jsonl", "b.jsonl", "c.jsonl"))
-    run_census(4, str(a), jobs=1)
-    run_census(4, str(b), jobs=2)
-    assert a.read_bytes() == b.read_bytes()
-    first = a.read_bytes()
-    run_census(4, str(a), jobs=1)  # rerun reuses the cache, bytes unchanged
-    assert a.read_bytes() == first
+def test_census_idempotent_and_worker_independent(tmp_path, monkeypatch):
+    import bei.census as census_mod
+
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)  # --jobs 3 starts 3 workers
+
+    def census(path, jobs):
+        monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})  # compute, do not recall
+        run_census(4, str(path), jobs=jobs)
+        return path.read_bytes()
+
+    a, b, c, d = (tmp_path / x for x in ("a.jsonl", "b.jsonl", "c.jsonl", "d.jsonl"))
+    first = census(a, 1)
+    assert census(b, 2) == first and census(d, 3) == first
+    assert census(a, 1) == first  # rerun reuses the cache, bytes unchanged
     # stale version: records must be recomputed, not trusted
-    c.write_text(a.read_text().replace('"reg":1', '"reg":9'))
+    c.write_text(first.decode().replace('"reg":1', '"reg":9'))
     (tmp_path / "c.jsonl.idx").write_text(json.dumps({"version": "stale"}))
-    run_census(4, str(c), jobs=1)
-    assert c.read_bytes() == first
+    assert census(c, 1) == first
+
+
+def test_census_reuses_only_hash_matching_output(tmp_path, monkeypatch):
+    import bei.census as census_mod
+
+    out = tmp_path / "c.jsonl"
+    idx_path = tmp_path / "c.jsonl.idx"
+    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
+    run_census(4, str(out), jobs=1)
+    full, index = out.read_bytes(), idx_path.read_bytes()
+    idx = json.loads(index)
+    assert idx["max_n"] == 4 and idx["sha256"] == hashlib.sha256(full).hexdigest()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.idx"]
+
+    computed = []
+    real_worker = census_mod._worker
+
+    def counting_worker(args):
+        computed.append(args[0])
+        return real_worker(args)
+
+    monkeypatch.setattr(census_mod, "_worker", counting_worker)
+    # intact pair: every record is reused
+    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
+    run_census(4, str(out), jobs=1)
+    assert computed == [] and out.read_bytes() == full
+    # a JSONL torn at a line end, one record edited, beside its intact index:
+    # every line still parses, yet every record is recomputed
+    lines = full.splitlines(keepends=True)
+    torn = b"".join(lines[:5]).replace(b'"reg":1', b'"reg":9')
+    assert torn != b"".join(lines[:5])
+    out.write_bytes(torn)
+    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
+    run_census(4, str(out), jobs=1)
+    assert len(computed) == len(lines)
+    assert out.read_bytes() == full and idx_path.read_bytes() == index
 
 
 def test_census_counts():
@@ -153,6 +195,13 @@ def test_cli_census_and_verify(tmp_path):
         main, ["census", "--max-n", "3", "--out", str(out)], env={"BEI_JOBS": "many"}
     )
     assert res.exit_code == 2 and "BEI_JOBS" in res.output
+    for jobs in ("-4", "0"):  # a usage error, not serial or "all cores"
+        res = runner.invoke(main, ["census", "--max-n", "3", "--out", str(out), "--jobs", jobs])
+        assert res.exit_code == 2 and "--jobs" in res.output
+        res = runner.invoke(
+            main, ["verify", "--theorem", "codim1", "--max-n", "4", "--jobs", jobs]
+        )
+        assert res.exit_code == 2 and "--jobs" in res.output
 
 
 def test_cli_no_vacuous_pass(tmp_path):
@@ -165,6 +214,11 @@ def test_cli_no_vacuous_pass(tmp_path):
     assert not fx.exists()
     res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "1"])
     assert res.exit_code == 2 and "no instances" in res.output
+    out = tmp_path / "empty.jsonl"
+    for max_n in ("0", "1"):
+        res = runner.invoke(main, ["census", "--max-n", max_n, "--out", str(out)])
+        assert res.exit_code == 2 and "no instances" in res.output
+    assert not list(tmp_path.glob("empty.jsonl*"))  # no JSONL, index or temp file
 
 
 def test_cli_oracle_fixtures(tmp_path):

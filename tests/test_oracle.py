@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bei.errors import ResourceBudgetError
 from bei.graphs import build_graph
 from bei.oracle import (
     DEGREVLEX,
+    MAX_INPUT_DEGREE,
     Ideal,
     PolyContext,
     Polynomial,
@@ -24,6 +27,8 @@ from bei.oracle import (
     verify_initial_ideal,
     verify_ohtani,
     verify_primary_decomposition,
+    _divides,
+    _lcm,
 )
 from bei.primes import cut_sets
 
@@ -57,7 +62,7 @@ def test_orders():
     # degrevlex flips the leader of a 2-minor: the last nonzero exponent
     # difference sits on y2, so x2*y1 wins
     drl = PolyContext(2, order=DEGREVLEX)
-    g = Polynomial(drl, dict(edge_binomial(drl, 1, 2).terms))
+    g = edge_binomial(drl, 1, 2)
     assert g.lt()[0][drl.x(2)] == 1 and g.lt()[0][drl.y(1)] == 1
     with pytest.raises(ValueError):
         PolyContext(2, order=DEGREVLEX, aux=True)
@@ -243,3 +248,109 @@ def test_monomial_polynomial_layout():
     p = monomial_polynomial(CTX3, m)
     exps = p.lt()[0]
     assert exps[CTX3.x(2)] == 1 and exps[CTX3.y(3)] == 1 and sum(exps) == 2
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against their exponent-tuple definitions
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    aux = draw(st.booleans())
+    ctx = PolyContext(n, aux=aux)
+    exponent = st.one_of(
+        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=127)
+    )
+    vec = st.lists(exponent, min_size=ctx.nvars, max_size=ctx.nvars).map(tuple)
+    a = draw(vec)
+    # a permutation of a ties on total degree, where degrevlex reads the exponents
+    b = tuple(draw(st.permutations(a))) if draw(st.booleans()) else draw(vec)
+    return n, aux, a, b
+
+
+def _degrevlex(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+@given(exponent_pairs())
+@settings(max_examples=300, deadline=None)
+def test_packed_monomials_match_exponent_tuples(case):
+    n, aux, a, b = case
+    ctx = PolyContext(n, aux=aux)
+    pa, pb = ctx._pack(a), ctx._pack(b)
+    g = ctx._guard
+    assert ctx._unpack(pa) == a and ctx._unpack(pb) == b
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)  # lex
+    assert _divides(pa, pb, g) == all(x <= y for x, y in zip(a, b))
+    assert ctx._unpack(_lcm(pa, pb, g)) == tuple(map(max, a, b))
+    coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+    assert (_lcm(pa, pb, g) == pa + pb) == coprime
+    if all(x + y <= 127 for x, y in zip(a, b)):
+        assert ctx._unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
+    if _divides(pa, pb, g):
+        assert ctx._unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+    if not aux:
+        drl = PolyContext(n, order=DEGREVLEX)
+        assert (drl._key(pa) < drl._key(pb)) == (_degrevlex(a) < _degrevlex(b))
+        assert (drl._key(pa) == drl._key(pb)) == (a == b)
+
+
+def test_exponent_past_the_field_raises():
+    ctx = PolyContext(2)
+    big = (127, 0, 0, 0)
+    Polynomial(ctx, {big: 1})  # the largest exponent that fits
+    with pytest.raises(ResourceBudgetError):
+        Polynomial(ctx, {(128, 0, 0, 0): 1})
+    f = Polynomial(ctx, {(64, 0, 0, 0): 1})
+    with pytest.raises(ResourceBudgetError):
+        f * f  # x1^128
+    with pytest.raises(ResourceBudgetError):
+        f.shifted(ctx._pack((64, 0, 0, 0)))
+    # lex reduction of a non-homogeneous input raises the degree:
+    # x1^6 -> x2^30 -> y1^150 modulo x1 - x2^5, x2 - y1^5
+    x1, x2, y1 = (var(ctx, i) for i in range(3))
+    chain = [x1 - x2 * x2 * x2 * x2 * x2, x2 - y1 * y1 * y1 * y1 * y1]
+    power = x1 * x1 * x1 * x1 * x1 * x1
+    assert power.degree() <= MAX_INPUT_DEGREE
+    with pytest.raises(ResourceBudgetError):
+        normal_form(power, chain)
+    with pytest.raises(ResourceBudgetError):
+        buchberger(Ideal(ctx, chain + [power]))
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(min_value=2, max_value=3))
+    ctx = PolyContext(n)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    gens = list(binomial_edge_ideal(build_graph(n, edges), ctx).gens)
+    mono = st.lists(
+        st.integers(min_value=0, max_value=1), min_size=ctx.nvars, max_size=ctx.nvars
+    ).map(tuple)
+    for _ in range(draw(st.integers(min_value=0 if edges else 1, max_value=2))):
+        u, v = draw(mono), draw(mono)
+        sign = draw(st.sampled_from((1, -1)))
+        f = Polynomial(ctx, {u: 1}) + Polynomial(ctx, {v: sign})
+        if not f.is_zero():
+            gens.append(f)
+    return ctx, gens
+
+
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_returns_a_reduced_basis(case):
+    ctx, gens = case
+    gb = buchberger(Ideal(ctx, gens))
+    leads = [p.lt()[0] for p in gb]
+    for p in gb:
+        assert p.lt()[1] == 1
+    for i, p in enumerate(gb):
+        for m in p.terms:
+            exps = ctx._unpack(m)
+            for j, lead in enumerate(leads):
+                if j != i or exps != lead:
+                    assert not all(x <= y for x, y in zip(lead, exps))
+    for g in gens:
+        assert normal_form(g, gb).is_zero()
