@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from multiprocessing import get_context
 from typing import Optional
@@ -45,9 +45,22 @@ from .oracle import (
     verify_ohtani,
     verify_primary_decomposition,
 )
-from .primes import cut_sets
 
-PIPELINE_VERSION = hashlib.sha256(b"bei-pipeline-0.1.0").hexdigest()[:16]
+
+def _source_version(package_dir: str) -> str:
+    """sha256 over the package's ``.py`` sources in sorted name order.
+
+    Any edit to the program gives a new version, so no census record is
+    reused by code other than the code that computed it.
+    """
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package_dir) if f.endswith(".py")):
+        with open(os.path.join(package_dir, name), "rb") as fh:
+            h.update(hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()[:16]
+
+
+PIPELINE_VERSION = _source_version(os.path.dirname(os.path.abspath(__file__)))
 
 CENSUS_MAX_N = 7
 CENSUS_BEST_EFFORT_N = 8
@@ -72,26 +85,8 @@ class CensusRecord:
     routes_agree: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "graph6": self.graph6,
-                "n": self.n,
-                "edge_count": self.edge_count,
-                "chordal": self.chordal,
-                "dim_clique_complex": self.dim_clique_complex,
-                "c_cliques": self.c_cliques,
-                "cut_set_count": self.cut_set_count,
-                "unmixed": self.unmixed,
-                "dim": self.dim,
-                "depth": self.depth,
-                "reg": self.reg,
-                "cm": self.cm,
-                "shape": self.shape,
-                "licci": self.licci,
-                "routes_agree": self.routes_agree,
-            },
-            separators=(",", ":"),
-        )
+        # keys in field order: the census bytes depend on it
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "CensusRecord":
@@ -104,7 +99,6 @@ def analyze(G: Graph, best_effort: bool = False) -> CensusRecord:
     verdict: CombinedVerdict = licci_verdict(G, best_effort)
     rec = verdict.witness
     cliques = maximal_cliques(G)
-    chordal, _ = is_chordal(G)
     shape = verdict.shape.to_json() if verdict.shape else {
         "kind": "disconnected",
         "components": [s.to_json() for s in verdict.component_shapes],
@@ -113,10 +107,10 @@ def analyze(G: Graph, best_effort: bool = False) -> CensusRecord:
         graph6=canonical_form(G).decode("ascii"),
         n=G.n,
         edge_count=G.edge_count(),
-        chordal=chordal,
+        chordal=verdict.chordal,
         dim_clique_complex=cliques.dim,
         c_cliques=cliques.count,
-        cut_set_count=len(cut_sets(G)),
+        cut_set_count=rec.prime_count,
         unmixed=rec.unmixed,
         dim=rec.dim,
         depth=rec.depth,
@@ -162,9 +156,6 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-_RECORD_MEMO: dict[tuple[int, bool], dict[str, CensusRecord]] = {}
-
-
 def compute_records(
     max_n: int,
     jobs: Optional[int] = None,
@@ -172,9 +163,6 @@ def compute_records(
     reuse: Optional[dict[str, str]] = None,
 ) -> dict[str, CensusRecord]:
     """Records for every connected class with edges, keyed by canonical graph6."""
-    memo_key = (max_n, best_effort)
-    if memo_key in _RECORD_MEMO:
-        return _RECORD_MEMO[memo_key]
     jobs = jobs or default_jobs()
     graphs = census_graphs(max_n, best_effort)
     keys = [canonical_form(g).decode("ascii") for g in graphs]
@@ -189,9 +177,7 @@ def compute_records(
         else:
             results = [_worker(w) for w in work]
         lines.update(zip(todo, results))
-    records = {k: CensusRecord.from_json(lines[k]) for k in keys}
-    _RECORD_MEMO[memo_key] = records
-    return records
+    return {k: CensusRecord.from_json(lines[k]) for k in keys}
 
 
 def _read_reusable(out_path: str, idx_path: str) -> dict[str, str]:
@@ -598,6 +584,16 @@ def write_fixtures(fixtures: list[dict], path: str) -> None:
             fh.write(json.dumps(fx, separators=(",", ":")) + "\n")
 
 
+def _oracle_sweep(check: str):
+    """A theorem-sweep entry running one oracle campaign; fixtures are dropped."""
+
+    def sweep(max_n, jobs):
+        instances, violations, _ = _oracle_campaign(check, max_n)
+        return instances, violations
+
+    return sweep
+
+
 THEOREMS = {
     "naoki-bound": _check_naoki_bound,
     "disconnected-bound": _check_disconnected_bound,
@@ -611,17 +607,10 @@ THEOREMS = {
     "bipartite-licci": _check_bipartite,
     "disconnected-licci": _check_disconnected_licci,
     "hu-necessary": _check_hu_necessary,
-    "primary-decomposition-oracle": None,
-    "colon-oracle": None,
-    "initial-ideal-oracle": None,
-    "ohtani-oracle": None,
-}
-
-_ORACLE_IDS = {
-    "primary-decomposition-oracle": "primary-decomposition",
-    "colon-oracle": "colon",
-    "initial-ideal-oracle": "initial",
-    "ohtani-oracle": "ohtani",
+    "primary-decomposition-oracle": _oracle_sweep("primary-decomposition"),
+    "colon-oracle": _oracle_sweep("colon"),
+    "initial-ideal-oracle": _oracle_sweep("initial"),
+    "ohtani-oracle": _oracle_sweep("ohtani"),
 }
 
 
@@ -633,10 +622,7 @@ def run_verification(
             f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREMS)}"
         )
     start = time.monotonic()
-    if theorem_id in _ORACLE_IDS:
-        instances, violations, _ = _oracle_campaign(_ORACLE_IDS[theorem_id], max_n)
-    else:
-        instances, violations = THEOREMS[theorem_id](max_n, jobs)
+    instances, violations = THEOREMS[theorem_id](max_n, jobs)
     return VerificationReport(
         theorem=theorem_id,
         tier=max_n,

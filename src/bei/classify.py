@@ -4,7 +4,8 @@ The shape route is purely combinatorial (path, or triangle with pendant
 paths).  The algebra route asks for Cohen-Macaulayness plus regularity in
 the top window; for chordal graphs a third route needs only unmixedness.
 When more than one route applies they are all computed and compared; a
-disagreement raises instead of picking a winner.
+disagreement raises instead of picking a winner.  The algebraic routes read
+one record ``rec = invariants(G)``, computed once by ``licci_verdict``.
 """
 
 from __future__ import annotations
@@ -127,18 +128,17 @@ def licci_by_shape(G: Graph) -> LicciVerdict:
     return LicciVerdict(licci, "shape", None, None, shapes, isolated)
 
 
-def licci_by_algebra(G: Graph, best_effort: bool = False) -> LicciVerdict:
+def licci_by_algebra(G: Graph, rec: InvariantRecord) -> LicciVerdict:
     """Cohen-Macaulay plus regularity at least n-2 (n-c-1 with c components)."""
     if G.edge_count() == 0:
         raise ValueError("edgeless graph has no proper ideal to classify")
-    rec = invariants(G, best_effort)
     c = len(connected_components(G))
     threshold = G.n - 2 if c == 1 else G.n - c - 1
     licci = rec.cm and rec.reg >= threshold
     return LicciVerdict(licci, "algebra", rec, None)
 
 
-def chordal_licci(G: Graph, best_effort: bool = False) -> LicciVerdict:
+def chordal_licci(G: Graph, rec: InvariantRecord) -> LicciVerdict:
     """For connected chordal graphs unmixedness replaces Cohen-Macaulayness."""
     if not is_connected(G):
         raise ValueError("chordal route needs a connected graph")
@@ -147,7 +147,6 @@ def chordal_licci(G: Graph, best_effort: bool = False) -> LicciVerdict:
         raise ValueError("chordal route needs a chordal graph")
     if G.edge_count() == 0:
         raise ValueError("edgeless graph has no proper ideal to classify")
-    rec = invariants(G, best_effort)
     licci = rec.unmixed and rec.reg >= G.n - 2
     return LicciVerdict(licci, "chordal", rec, None)
 
@@ -179,35 +178,27 @@ class CombinedVerdict:
     licci: bool
     shape: Optional[Shape]
     component_shapes: tuple[Shape, ...]
-    isolated_vertices: tuple[int, ...]
     witness: InvariantRecord
+    chordal: bool
     routes: tuple[str, ...]
     routes_agree: bool
 
-    def to_json(self) -> dict:
-        rec = self.witness
-        return {
-            "licci": self.licci,
-            "shape": self.shape.to_json() if self.shape else None,
-            "component_shapes": [s.to_json() for s in self.component_shapes],
-            "reg": rec.reg,
-            "depth": rec.depth,
-            "dim": rec.dim,
-            "cm": rec.cm,
-            "unmixed": rec.unmixed,
-            "routes_agree": self.routes_agree,
-        }
-
 
 def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
-    """Run every applicable route; raise if they do not agree."""
+    """Run every applicable route; raise if they do not agree.
+
+    The invariants and the chordality test are computed once here.  The
+    routes still decide independently: by shape, by Cohen-Macaulayness, and
+    (for connected chordal graphs) by unmixedness.
+    """
     by_shape = licci_by_shape(G)
-    by_algebra = licci_by_algebra(G, best_effort)
+    rec = invariants(G, best_effort)
+    chordal, _ = is_chordal(G)
     routes = ["shape", "algebra"]
-    verdicts = [by_shape.licci, by_algebra.licci]
-    if is_connected(G) and is_chordal(G)[0]:
+    verdicts = [by_shape.licci, licci_by_algebra(G, rec).licci]
+    if chordal and is_connected(G):
         routes.append("chordal")
-        verdicts.append(chordal_licci(G, best_effort).licci)
+        verdicts.append(chordal_licci(G, rec).licci)
     if len(set(verdicts)) != 1:
         raise RouteDisagreementError(
             f"licci routes disagree on {G}: {dict(zip(routes, verdicts))}"
@@ -216,8 +207,8 @@ def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
         licci=verdicts[0],
         shape=by_shape.shape,
         component_shapes=by_shape.component_shapes,
-        isolated_vertices=by_shape.isolated_vertices,
-        witness=by_algebra.witness,
+        witness=rec,
+        chordal=chordal,
         routes=tuple(routes),
         routes_agree=True,
     )

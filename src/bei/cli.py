@@ -7,6 +7,7 @@ tier exceeded.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -41,6 +42,15 @@ def _jobs(jobs) -> int:
         return default_jobs()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _in_existing_dir(ctx, param, path):
+    """Refuse an output path whose directory is missing before any work starts."""
+    if path is not None:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"directory {parent} does not exist")
+    return path
 
 
 @click.group()
@@ -85,7 +95,8 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
 
 @main.command("census")
 @click.option("--max-n", type=int, required=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_in_existing_dir)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="workers (default: BEI_JOBS or all cores)")
 @click.option("--best-effort", is_flag=True, help="allow n=8")
@@ -142,6 +153,7 @@ def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
 )
 @click.option("--max-n", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
+              callback=_in_existing_dir,
               help="write {graph6, labeling, check, ok} JSONL fixtures here")
 def oracle_cmd(check, max_n, out_path) -> None:
     """Symbolic certification campaign over all labeled graphs in the tier."""

@@ -380,15 +380,6 @@ class BettiTable:
     reg: int
     pd: int
 
-    def rank(self, i: int, j: int) -> int:
-        for ei, ej, r in self.entries:
-            if (ei, ej) == (i, j):
-                return r
-        return 0
-
-    def to_json(self) -> list[dict]:
-        return [{"i": i, "j": j, "rank": r} for i, j, r in self.entries]
-
 
 def _covered_unions(gens) -> list[int]:
     """All distinct unions of nonempty generator subsets."""
@@ -519,19 +510,7 @@ class InvariantRecord:
     indeg: Optional[int]
     unmixed: bool
     cm: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "reg": self.reg,
-            "pd": self.pd,
-            "depth": self.depth,
-            "dim": self.dim,
-            "height": self.height,
-            "indeg": self.indeg,
-            "unmixed": self.unmixed,
-            "cm": self.cm,
-        }
+    prime_count: int  # minimal primes, one per cut set
 
 
 def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
@@ -539,7 +518,8 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
 
     Regularity and projective dimension are computed per connected component
     from the squarefree initial ideal (the degeneration preserves both) and
-    summed; dimension comes from the minimal-prime heights.
+    summed; dimension, unmixedness and the prime count come from the one
+    minimal-prime pass.
     """
     if G.n > 12:
         raise TierExceededError(f"invariants tier is n <= 12, got {G.n}")
@@ -565,4 +545,5 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
         indeg=2 if G.edge_count() else None,
         unmixed=summary.unmixed,
         cm=(depth == dim),
+        prime_count=len(summary.primes),
     )

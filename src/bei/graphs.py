@@ -126,9 +126,6 @@ class InducedSubgraph:
     graph: Graph
     labels: tuple[int, ...]
 
-    def original_label(self, v: int) -> int:
-        return self.labels[v - 1]
-
     def new_label(self, original: int) -> int:
         return self.labels.index(original) + 1
 
@@ -308,19 +305,15 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
-def is_decomposable(G: Graph) -> Optional[tuple[int, InducedSubgraph, InducedSubgraph]]:
-    """Witness (v, part1, part2) for a split at a vertex simplicial in both parts.
+def _splits(G: Graph):
+    """Every witness (v, part1, part2) for a split at a vertex simplicial in both parts.
 
     Only two-component splits of G - v can work: every component of G - v
     contains a neighbor of v, and neighbors in different components are never
     adjacent, so grouping two components on one side breaks the clique
-    condition there.  Parts are induced on (component + v) and must have at
-    least 2 vertices each.
+    condition there.  Parts are induced on (component + v) and have at least
+    2 vertices each.
     """
-    if G.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if not is_connected(G):
-        raise ValueError("decomposability is defined for connected graphs")
     full = G.full_mask()
     for v in range(1, G.n + 1):
         vbit = 1 << (v - 1)
@@ -329,11 +322,17 @@ def is_decomposable(G: Graph) -> Optional[tuple[int, InducedSubgraph, InducedSub
             continue
         nb = G.adj[v - 1]
         if all(_is_clique(G.adj, nb & c) for c in comps):
-            parts = tuple(
-                induced_on(G, mask_to_labels(c | vbit)) for c in comps
-            )
-            return (v, parts[0], parts[1])
-    return None
+            part1, part2 = (induced_on(G, mask_to_labels(c | vbit)) for c in comps)
+            yield v, part1, part2
+
+
+def is_decomposable(G: Graph) -> Optional[tuple[int, InducedSubgraph, InducedSubgraph]]:
+    """The first witness (v, part1, part2) of ``_splits``, or None."""
+    if G.n < 2:
+        raise ValueError("need at least 2 vertices")
+    if not is_connected(G):
+        raise ValueError("decomposability is defined for connected graphs")
+    return next(_splits(G), None)
 
 
 def decompose_fully(G: Graph, rng: Optional[random.Random] = None) -> list[Graph]:
@@ -346,25 +345,11 @@ def decompose_fully(G: Graph, rng: Optional[random.Random] = None) -> list[Graph
         raise ValueError("decompose_fully needs a connected graph")
     if G.n < 2:
         return [G]
-    witnesses = []
-    full = G.full_mask()
-    for v in range(1, G.n + 1):
-        vbit = 1 << (v - 1)
-        comps = _component_masks(G.adj, full & ~vbit)
-        if len(comps) != 2:
-            continue
-        nb = G.adj[v - 1]
-        if all(_is_clique(G.adj, nb & c) for c in comps):
-            witnesses.append((v, comps))
+    witnesses = list(_splits(G))
     if not witnesses:
         return [G]
-    v, comps = witnesses[0] if rng is None else rng.choice(witnesses)
-    vbit = 1 << (v - 1)
-    pieces = []
-    for c in comps:
-        part = induced_on(G, mask_to_labels(c | vbit))
-        pieces.extend(decompose_fully(part.graph, rng))
-    return pieces
+    _, part1, part2 = witnesses[0] if rng is None else rng.choice(witnesses)
+    return decompose_fully(part1.graph, rng) + decompose_fully(part2.graph, rng)
 
 
 def is_bipartite(G: Graph) -> bool:
@@ -416,18 +401,6 @@ def _upper_triangle_bits(G: Graph) -> list[int]:
     return bits
 
 
-def _graph_from_bits(n: int, bits) -> Graph:
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(adj))
-
-
 @lru_cache(maxsize=1 << 17)
 def canonical_form(G: Graph) -> bytes:
     """Minimum graph6 encoding over all vertex permutations.
@@ -473,14 +446,9 @@ def canonical_form(G: Graph) -> bytes:
 
 def canonical_graph(G: Graph) -> Graph:
     """The canonically labeled representative of G's isomorphism class."""
-    form = canonical_form(G)
-    bits = []
-    need = G.n * (G.n - 1) // 2
-    for byte in form[1:]:
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            bits.append(group >> shift & 1)
-    return _graph_from_bits(G.n, bits[:need])
+    from .graph6 import parse_graph6  # graph6 builds on this module
+
+    return parse_graph6(canonical_form(G))
 
 
 @lru_cache(maxsize=None)

@@ -9,11 +9,10 @@ default is the full tier).
 import os
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 import pytest
 
-from bei.census import all_graph_classes, compute_records, run_census
+from bei.census import _labeled_connected, all_graph_classes, compute_records, run_census
 from bei.classify import licci_verdict
 from bei.cliques import codim1_conditions, is_chordal, maximal_cliques
 from bei.degeneration import invariants
@@ -64,16 +63,6 @@ def records_full():
     return tier, recs
 
 
-def labeled_connected(n):
-    pairs = list(combinations(range(1, n + 1), 2))
-    out = []
-    for k in range(1 << len(pairs)):
-        g = build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
-        if is_connected(g):
-            out.append(g)
-    return out
-
-
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
@@ -98,7 +87,7 @@ def test_criterion_01_oracle_certification():
     start = time.monotonic()
     with criterion(1, "oracle certification on all labeled connected graphs n<=4"):
         for n in range(1, 5):
-            for g in labeled_connected(n):
+            for g in _labeled_connected(n):
                 assert verify_primary_decomposition(g)
                 assert verify_initial_ideal(g)
                 for e in g.edges():
@@ -235,15 +224,11 @@ def test_criterion_09_pinned_values():
 
 
 def test_criterion_10_census_determinism(tmp_path):
-    import bei.census as census_mod
-
     with criterion(10, "census at n<=6 is byte-identical across 1 vs 8 workers"):
         start = time.monotonic()
         one = tmp_path / "one.jsonl"
         eight = tmp_path / "eight.jsonl"
-        census_mod._RECORD_MEMO.clear()
         run_census(6, str(one), jobs=1)
-        census_mod._RECORD_MEMO.clear()
         run_census(6, str(eight), jobs=8)
         assert one.read_bytes() == eight.read_bytes()
         assert len(one.read_text().splitlines()) == 142

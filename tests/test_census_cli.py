@@ -1,17 +1,24 @@
 import hashlib
 import json
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bei
+from bei import census, classify, degeneration, primes
 from bei.census import (
     PIPELINE_VERSION,
     CensusRecord,
     analyze,
+    census_graphs,
     run_census,
     run_verification,
 )
 from bei.cli import main
+from bei.cliques import is_chordal
 from bei.graphs import build_graph
 
 
@@ -63,7 +70,6 @@ def test_census_idempotent_and_worker_independent(tmp_path, monkeypatch):
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)  # --jobs 3 starts 3 workers
 
     def census(path, jobs):
-        monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})  # compute, do not recall
         run_census(4, str(path), jobs=jobs)
         return path.read_bytes()
 
@@ -82,7 +88,6 @@ def test_census_reuses_only_hash_matching_output(tmp_path, monkeypatch):
 
     out = tmp_path / "c.jsonl"
     idx_path = tmp_path / "c.jsonl.idx"
-    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
     run_census(4, str(out), jobs=1)
     full, index = out.read_bytes(), idx_path.read_bytes()
     idx = json.loads(index)
@@ -98,7 +103,6 @@ def test_census_reuses_only_hash_matching_output(tmp_path, monkeypatch):
 
     monkeypatch.setattr(census_mod, "_worker", counting_worker)
     # intact pair: every record is reused
-    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
     run_census(4, str(out), jobs=1)
     assert computed == [] and out.read_bytes() == full
     # a JSONL torn at a line end, one record edited, beside its intact index:
@@ -107,16 +111,74 @@ def test_census_reuses_only_hash_matching_output(tmp_path, monkeypatch):
     torn = b"".join(lines[:5]).replace(b'"reg":1', b'"reg":9')
     assert torn != b"".join(lines[:5])
     out.write_bytes(torn)
-    monkeypatch.setattr(census_mod, "_RECORD_MEMO", {})
     run_census(4, str(out), jobs=1)
     assert len(computed) == len(lines)
     assert out.read_bytes() == full and idx_path.read_bytes() == index
 
 
+def test_pipeline_version_follows_the_source(tmp_path, monkeypatch):
+    package = Path(bei.__file__).parent
+    copy = tmp_path / "bei"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert census._source_version(str(copy)) == PIPELINE_VERSION
+    source = copy / "primes.py"
+    data = bytearray(source.read_bytes())
+    data[-2] ^= 1
+    source.write_bytes(bytes(data))
+    assert census._source_version(str(copy)) != PIPELINE_VERSION
+
+    # a census written by other code is recomputed, though its hash matches
+    out = tmp_path / "c.jsonl"
+    monkeypatch.setattr(census, "PIPELINE_VERSION", "0" * 16)
+    run_census(3, str(out), jobs=1)
+    monkeypatch.setattr(census, "PIPELINE_VERSION", PIPELINE_VERSION)
+    computed = []
+    real_worker = census._worker
+
+    def counting_worker(args):
+        computed.append(args[0])
+        return real_worker(args)
+
+    monkeypatch.setattr(census, "_worker", counting_worker)
+    run_census(3, str(out), jobs=1)
+    assert len(computed) == 3
+    assert json.loads((tmp_path / "c.jsonl.idx").read_text())["version"] == PIPELINE_VERSION
+    run_census(3, str(out), jobs=1)
+    assert len(computed) == 3  # now reused
+
+
+def test_analyze_computes_each_artifact_once(monkeypatch):
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)  # fails if the name is gone
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("bei.") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    count(degeneration, "invariants")
+    count(primes, "cut_sets")
+    for route in ("licci_by_shape", "licci_by_algebra", "chordal_licci"):
+        count(classify, route)
+    graphs = census_graphs(5)
+    for g in graphs:
+        analyze(g)
+    classes = len(graphs)
+    assert counts["invariants"] == counts["cut_sets"] == classes == 30
+    assert counts["licci_by_shape"] == counts["licci_by_algebra"] == classes
+    assert counts["chordal_licci"] == sum(is_chordal(g)[0] for g in graphs)
+
+
 def test_census_counts():
     import bei.census as census_mod
 
-    census_mod._RECORD_MEMO.clear()
     records = census_mod.compute_records(6, jobs=2)
     assert len(records) == 142
     per_n = {}
@@ -185,6 +247,9 @@ def test_cli_census_and_verify(tmp_path):
     assert res.exit_code == 0 and "3 records" in res.output
     res = runner.invoke(main, ["census", "--max-n", "9", "--out", str(out)])
     assert res.exit_code == 3  # above tier without --best-effort
+    missing = tmp_path / "missing" / "c.jsonl"
+    res = runner.invoke(main, ["census", "--max-n", "3", "--out", str(missing)])
+    assert res.exit_code == 2 and "does not exist" in res.output
     res = runner.invoke(main, ["verify", "--theorem", "codim1", "--max-n", "4"])
     assert res.exit_code == 0 and "violations 0" in res.output
     res = runner.invoke(main, ["verify", "--theorem", "bogus", "--max-n", "4"])
@@ -231,6 +296,11 @@ def test_cli_oracle_fixtures(tmp_path):
     lines = [json.loads(l) for l in fx.read_text().splitlines()]
     assert lines and all(l["ok"] for l in lines)
     assert set(lines[0]) == {"graph6", "labeling", "check", "ok"}
+    missing = tmp_path / "missing" / "fixtures.jsonl"
+    res = runner.invoke(
+        main, ["oracle", "--check", "colon", "--max-n", "3", "--out", str(missing)]
+    )
+    assert res.exit_code == 2 and "does not exist" in res.output
 
 
 def test_jobs_env_override(monkeypatch):

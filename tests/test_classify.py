@@ -12,6 +12,7 @@ from bei.classify import (
     licci_by_shape,
     licci_verdict,
 )
+from bei.degeneration import invariants
 from bei.graphs import build_graph, enumerate_connected
 
 K3 = build_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -58,30 +59,38 @@ def test_isolated_vertices_flagged_as_trivial_paths():
     assert [s.kind for s in verdict.component_shapes] == [TRIANGLE_WITH_PATHS, PATH]
 
 
+def by_algebra(G):
+    return licci_by_algebra(G, invariants(G))
+
+
+def by_chordal(G):
+    return chordal_licci(G, invariants(G))
+
+
 def test_licci_by_algebra():
-    v = licci_by_algebra(path_graph(4))
+    v = by_algebra(path_graph(4))
     assert v.licci and v.witness.cm and v.witness.reg == 3
-    v = licci_by_algebra(TRI_PENDANT)
+    v = by_algebra(TRI_PENDANT)
     assert v.licci and v.witness.reg == 2
-    v = licci_by_algebra(DIAMOND)
+    v = by_algebra(DIAMOND)
     assert not v.licci and not v.witness.unmixed
     # disconnected threshold: n - c - 1
     k3_p2 = build_graph(5, [(1, 2), (2, 3), (1, 3), (4, 5)])
-    assert licci_by_algebra(k3_p2).licci
+    assert by_algebra(k3_p2).licci
     two_triangles = build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    assert not licci_by_algebra(two_triangles).licci
+    assert not by_algebra(two_triangles).licci
 
 
 def test_chordal_licci():
     twp = build_graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
-    v = chordal_licci(twp)
+    v = by_chordal(twp)
     assert v.licci and v.witness.unmixed and v.witness.reg == 4
-    assert not chordal_licci(STAR).licci
-    assert chordal_licci(path_graph(6)).licci
+    assert not by_chordal(STAR).licci
+    assert by_chordal(path_graph(6)).licci
     with pytest.raises(ValueError):
-        chordal_licci(C4)
+        by_chordal(C4)
     with pytest.raises(ValueError):
-        chordal_licci(build_graph(4, [(1, 2), (3, 4)]))
+        by_chordal(build_graph(4, [(1, 2), (3, 4)]))
 
 
 def test_hu_bound():
