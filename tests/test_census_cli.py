@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -221,6 +222,67 @@ def test_every_registry_entry_runs_clean(theorem, max_n):
     rep = run_verification(theorem, max_n, jobs=1)
     assert rep.ok()
     assert rep.instances > 0
+
+
+def _raise_every_reg(monkeypatch):
+    """Every census record reports reg + 1, so record-based sweeps must fail."""
+    real = census.compute_records
+
+    def raised(*args, **kwargs):
+        records = real(*args, **kwargs)
+        return {k: dataclasses.replace(r, reg=r.reg + 1) for k, r in records.items()}
+
+    monkeypatch.setattr(census, "compute_records", raised)
+
+
+def test_sweeps_report_violations(monkeypatch):
+    _raise_every_reg(monkeypatch)
+    rep = run_verification("naoki-bound", 3)
+    assert rep.instances == 3 and not rep.ok()
+    assert rep.violations == (
+        {"graph6": "A_", "detail": "reg 2 > n-dim 1"},
+        {"graph6": "A_", "detail": "clique form fails at (1, 2)"},
+        {"graph6": "BW", "detail": "reg 3 > n-dim 2"},
+        {"graph6": "BW", "detail": "clique form fails at (1, 3)"},
+        {"graph6": "BW", "detail": "clique form fails at (2, 3)"},
+        {"graph6": "Bw", "detail": "reg 2 > n-dim 1"},
+        {"graph6": "Bw", "detail": "clique form fails at (1, 2, 3)"},
+    )
+    rep = run_verification("regmax-path", 3)
+    assert rep.instances == 3
+    assert rep.violations == (
+        {"graph6": "A_", "detail": "reg 2, shape {'kind': 'path'}"},
+        {"graph6": "BW", "detail": "reg 3, shape {'kind': 'path'}"},
+        {
+            "graph6": "Bw",
+            "detail": "reg 2, shape {'kind': 'triangle_with_paths', 'r': 0, 's': 0, 't': 0}",
+        },
+    )
+    res = CliRunner().invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "3"])
+    assert res.exit_code == 1
+    assert "  VIOLATION BW reg 3 > n-dim 2" in res.output.splitlines()
+    assert res.output.count("VIOLATION") == 7
+
+
+def test_cli_oracle_reports_violations(tmp_path, monkeypatch):
+    real = census.verify_colon_theorem
+
+    def fails_on_p2(g, e):
+        return g.n != 2 and real(g, e)
+
+    monkeypatch.setattr(census, "verify_colon_theorem", fails_on_p2)
+    fx = tmp_path / "fixtures.jsonl"
+    res = CliRunner().invoke(
+        main, ["oracle", "--check", "colon", "--max-n", "3", "--out", str(fx)]
+    )
+    assert res.exit_code == 1
+    assert "colon: 10 instances, 1 violations" in res.output
+    assert "  VIOLATION A_ 2;1-2 e=1-2" in res.output.splitlines()
+    lines = [json.loads(line) for line in fx.read_text().splitlines()]
+    assert len(lines) == 10
+    assert [l for l in lines if not l["ok"]] == [
+        {"graph6": "A_", "labeling": "2;1-2 e=1-2", "check": "colon", "ok": False}
+    ]
 
 
 def test_cli_analyze():
