@@ -7,6 +7,13 @@ time, never bytes: records are merged and sorted before writing.  Both files
 are replaced atomically, and a sidecar index pins the pipeline version and
 the JSONL's sha256; records from another version or from bytes that do not
 match the hash are recomputed rather than reused.
+
+A theorem sweep pairs a statement with a population.  A statement is a
+per-graph function of ``(graph, census record or None)`` that returns None
+where it does not apply, else the list of its failure details; a population
+yields the (graph, record) pairs: connected classes with their census
+records, connected classes without records, or every class.  One driver,
+``_sweep``, counts the instances and builds the violations.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from multiprocessing import get_context
@@ -134,21 +143,26 @@ def census_graphs(max_n: int, best_effort: bool = False) -> list[Graph]:
             f"census tier is {CENSUS_MAX_N} (or {CENSUS_BEST_EFFORT_N} with "
             f"best-effort), got {max_n}"
         )
-    out = []
-    for n in range(2, max_n + 1):
-        out.extend(g for g in enumerate_connected(n) if g.edge_count())
-    return out
+    return _connected_classes(max_n)
+
+
+def _connected_classes(max_n: int) -> list[Graph]:
+    graphs = (g for n in range(2, max_n + 1) for g in enumerate_connected(n))
+    return [g for g in graphs if g.edge_count()]
 
 
 def default_jobs() -> int:
     """Requested worker count: BEI_JOBS if set, else all cores."""
     env = os.environ.get("BEI_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"BEI_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"BEI_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -268,15 +282,20 @@ class VerificationReport:
         }
 
 
-def _connected_data(max_n: int, jobs):
+def _connected_data(max_n: int, jobs) -> list[tuple[Graph, CensusRecord]]:
     """(graph, record) pairs for connected classes with edges."""
     records = compute_records(max_n, jobs)
-    out = []
-    for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            if g.edge_count():
-                out.append((g, records[canonical_form(g).decode("ascii")]))
-    return out
+    graphs = census_graphs(max_n)
+    return [(g, records[canonical_form(g).decode("ascii")]) for g in graphs]
+
+
+def _connected_graphs(max_n: int, jobs) -> list[tuple[Graph, None]]:
+    """Connected classes with edges, without records and without the census cap."""
+    return [(g, None) for g in _connected_classes(max_n)]
+
+
+def _all_classes(max_n: int, jobs) -> list[tuple[Graph, None]]:
+    return [(g, None) for g in all_graph_classes(max_n)]
 
 
 def all_graph_classes(max_n: int) -> list[Graph]:
@@ -287,14 +306,49 @@ def all_graph_classes(max_n: int) -> list[Graph]:
     return out
 
 
-def _labeled_connected(n: int) -> list[Graph]:
-    pairs = list(combinations(range(1, n + 1), 2))
-    out = []
-    for k in range(1 << len(pairs)):
-        g = build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
-        if is_connected(g):
-            out.append(g)
-    return out
+def _sweep(population, statement):
+    """The sweep of one statement over a population: (instances, violations).
+
+    A statement returns None where it does not apply to a graph, else the
+    list of its failure details there (empty when it holds).
+    """
+
+    def sweep(max_n, jobs):
+        instances, violations = 0, []
+        for g, rec in population(max_n, jobs):
+            details = statement(g, rec)
+            if details is None:
+                continue
+            instances += 1
+            g6 = canonical_form(g).decode("ascii")
+            violations.extend({"graph6": g6, "detail": d} for d in details)
+        return instances, violations
+
+    return sweep
+
+
+def _naoki_bound(g, rec):
+    cl = maximal_cliques(g)
+    bound = g.n - cl.dim
+    details = [f"reg {rec.reg} > n-dim {bound}"] if rec.reg > bound else []
+    return details + [
+        f"clique form fails at {w}"
+        for w in cl.maximal_cliques
+        if rec.reg > g.n - len(w) + 1
+    ]
+
+
+def _disconnected_bound(g, _):
+    comps = connected_components(g)
+    dims = sum(maximal_cliques(induced_on(g, c).graph).dim for c in comps)
+    reg = invariants(g).reg
+    return [f"reg {reg} > {g.n - dims}"] if reg > g.n - dims else []
+
+
+def _regmax_path(g, rec):
+    is_path = rec.shape.get("kind") == PATH
+    top = rec.reg == g.n - 1
+    return [f"reg {rec.reg}, shape {rec.shape}"] if top != is_path else []
 
 
 def _partitions_at_most_3(total: int) -> int:
@@ -307,310 +361,195 @@ def _partitions_at_most_3(total: int) -> int:
     return count
 
 
-def _check_naoki_bound(max_n, jobs):
-    violations = []
+def _routes_agree(g, rec):
+    return [] if rec.routes_agree else ["routes disagree"]
+
+
+def _licci_equivalence(max_n, jobs):
+    """Routes agree on every class, and the licci count at n is 1 + p3(n - 3)."""
     data = _connected_data(max_n, jobs)
-    for g, rec in data:
-        cl = maximal_cliques(g)
-        if rec.reg > g.n - cl.dim:
-            violations.append({"graph6": rec.graph6, "detail": f"reg {rec.reg} > n-dim {g.n - cl.dim}"})
-        for w in cl.maximal_cliques:
-            if rec.reg > g.n - len(w) + 1:
-                violations.append({"graph6": rec.graph6, "detail": f"clique form fails at {w}"})
-    return len(data), violations
-
-
-def _check_disconnected_bound(max_n, jobs):
-    violations = []
-    classes = all_graph_classes(max_n)
-    for g in classes:
-        comps = connected_components(g)
-        dims = sum(
-            maximal_cliques(induced_on(g, c).graph).dim for c in comps
-        )
-        rec = invariants(g)
-        if rec.reg > g.n - dims:
-            violations.append(
-                {
-                    "graph6": canonical_form(g).decode("ascii"),
-                    "detail": f"reg {rec.reg} > {g.n - dims}",
-                }
-            )
-    return len(classes), violations
-
-
-def _check_regmax_path(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    for g, rec in data:
-        is_path = rec.shape.get("kind") == PATH
-        if (rec.reg == g.n - 1) != is_path:
-            violations.append(
-                {"graph6": rec.graph6, "detail": f"reg {rec.reg}, shape {rec.shape}"}
-            )
-    return len(data), violations
-
-
-def _check_licci_equivalence(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    per_n: dict[int, int] = {}
-    for g, rec in data:
-        if not rec.routes_agree:
-            violations.append({"graph6": rec.graph6, "detail": "routes disagree"})
-        if rec.licci:
-            per_n[g.n] = per_n.get(g.n, 0) + 1
+    instances, violations = _sweep(lambda *_: data, _routes_agree)(max_n, jobs)
+    per_n = Counter(g.n for g, rec in data if rec.licci)
     for n in range(2, max_n + 1):
         expected = 1 + (_partitions_at_most_3(n - 3) if n >= 3 else 0)
-        if per_n.get(n, 0) != expected:
-            violations.append(
-                {
-                    "graph6": "",
-                    "detail": f"licci count at n={n}: {per_n.get(n, 0)} != {expected}",
-                }
-            )
-    return len(data), violations
+        if per_n[n] != expected:
+            detail = f"licci count at n={n}: {per_n[n]} != {expected}"
+            violations.append({"graph6": "", "detail": detail})
+    return instances, violations
 
 
-def _check_chordal_licci(max_n, jobs):
-    violations = []
-    data = [(g, r) for g, r in _connected_data(max_n, jobs) if r.chordal]
-    for g, rec in data:
-        relaxed = rec.unmixed and rec.reg >= g.n - 2
-        if relaxed != rec.licci:
-            violations.append(
-                {"graph6": rec.graph6, "detail": "unmixed route differs"}
-            )
-        if rec.reg > rec.c_cliques:
-            violations.append(
-                {"graph6": rec.graph6, "detail": f"reg {rec.reg} > c(G) {rec.c_cliques}"}
-            )
-    return len(data), violations
+def _chordal_licci(g, rec):
+    if not rec.chordal:
+        return None
+    details = []
+    if (rec.unmixed and rec.reg >= g.n - 2) != rec.licci:
+        details.append("unmixed route differs")
+    if rec.reg > rec.c_cliques:
+        details.append(f"reg {rec.reg} > c(G) {rec.c_cliques}")
+    return details
 
 
-def _check_codim1(max_n, jobs):
-    violations = []
-    checked = 0
-    for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            if not g.edge_count() or not is_chordal(g)[0]:
-                continue
-            checked += 1
-            conds = codim1_conditions(g)
-            if conds.holds != (maximal_cliques(g).count == g.n - 2):
-                violations.append(
-                    {"graph6": canonical_form(g).decode("ascii"), "detail": str(conds)}
-                )
-    return checked, violations
+def _codim1(g, _):
+    if not is_chordal(g)[0]:
+        return None
+    conds = codim1_conditions(g)
+    return [str(conds)] if conds.holds != (maximal_cliques(g).count == g.n - 2) else []
 
 
-def _check_cutvertex_degree4(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    checked = 0
-    for g, rec in data:
-        if not any(g.degree(v) >= 4 for v in cut_vertices(g)):
-            continue
-        checked += 1
-        if rec.reg > g.n - 3:
-            violations.append({"graph6": rec.graph6, "detail": f"reg {rec.reg}"})
-    return checked, violations
+def _cutvertex_degree4(g, rec):
+    if not any(g.degree(v) >= 4 for v in cut_vertices(g)):
+        return None
+    return [f"reg {rec.reg}"] if rec.reg > g.n - 3 else []
 
 
-def _check_unmixed_gap(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    checked = 0
-    for g, rec in data:
-        if g.n < 4 or not rec.unmixed:
-            continue
-        if is_decomposable(g) is not None:
-            continue
-        has_gap_vertex = any(
-            g.degree(v) == 2 and g.has_edge(*g.neighbors(v))
-            for v in range(1, g.n + 1)
-        )
-        if not has_gap_vertex:
-            continue
-        checked += 1
-        if rec.reg > g.n - 3:
-            violations.append({"graph6": rec.graph6, "detail": f"reg {rec.reg}"})
-    return checked, violations
+def _unmixed_gap(g, rec):
+    if g.n < 4 or not rec.unmixed or is_decomposable(g) is not None:
+        return None
+    vertices = range(1, g.n + 1)
+    if not any(g.degree(v) == 2 and g.has_edge(*g.neighbors(v)) for v in vertices):
+        return None
+    return [f"reg {rec.reg}"] if rec.reg > g.n - 3 else []
 
 
-def _check_decomposable_reg(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    checked = 0
-    for g, rec in data:
-        split = is_decomposable(g)
-        if split is None:
-            continue
-        checked += 1
-        _, part1, part2 = split
-        inv1 = invariants(part1.graph)
-        inv2 = invariants(part2.graph)
-        if rec.reg != inv1.reg + inv2.reg:
-            violations.append(
-                {"graph6": rec.graph6, "detail": "regularity not additive"}
-            )
-        if rec.reg == g.n - 2:
-            shapes = (
-                classify.classify_shape(part1.graph),
-                classify.classify_shape(part2.graph),
-            )
-            ok = (
-                shapes[0].kind == PATH and inv2.reg == part2.graph.n - 2
-            ) or (
-                shapes[1].kind == PATH and inv1.reg == part1.graph.n - 2
-            )
-            if not ok:
-                violations.append(
-                    {"graph6": rec.graph6, "detail": "no path part with top reg"}
-                )
-    return checked, violations
+def _decomposable_reg(g, rec):
+    split = is_decomposable(g)
+    if split is None:
+        return None
+    _, part1, part2 = split
+    inv1 = invariants(part1.graph)
+    inv2 = invariants(part2.graph)
+    details = []
+    if rec.reg != inv1.reg + inv2.reg:
+        details.append("regularity not additive")
+    if rec.reg == g.n - 2 and not any(
+        classify.classify_shape(p.graph).kind == PATH and inv.reg == q.graph.n - 2
+        for p, q, inv in ((part1, part2, inv2), (part2, part1, inv1))
+    ):
+        details.append("no path part with top reg")
+    return details
 
 
-def _check_bipartite(max_n, jobs):
-    violations = []
-    data = [(g, r) for g, r in _connected_data(max_n, jobs) if is_bipartite(g)]
-    for g, rec in data:
-        if rec.licci != (rec.shape.get("kind") == PATH):
-            violations.append({"graph6": rec.graph6, "detail": "bipartite mismatch"})
-    return len(data), violations
+def _bipartite_licci(g, rec):
+    if not is_bipartite(g):
+        return None
+    is_path = rec.shape.get("kind") == PATH
+    return ["bipartite mismatch"] if rec.licci != is_path else []
 
 
-def _check_disconnected_licci(max_n, jobs):
-    violations = []
-    checked = 0
-    for g in all_graph_classes(max_n):
-        if is_connected(g):
-            continue
-        checked += 1
-        try:
-            verdict = licci_verdict(g)
-        except classify.RouteDisagreementError as exc:
-            violations.append(
-                {"graph6": canonical_form(g).decode("ascii"), "detail": str(exc)}
-            )
-            continue
-        comps = connected_components(g)
-        kinds = [
-            classify.classify_shape(induced_on(g, c).graph).kind for c in comps
-        ]
-        expected = all(k == PATH for k in kinds) or (
-            kinds.count(TRIANGLE_WITH_PATHS) == 1
-            and all(k in (PATH, TRIANGLE_WITH_PATHS) for k in kinds)
-        )
-        if verdict.licci != expected:
-            violations.append(
-                {"graph6": canonical_form(g).decode("ascii"), "detail": "shape rule"}
-            )
-    return checked, violations
+def _disconnected_licci(g, _):
+    if is_connected(g):
+        return None
+    try:
+        verdict = licci_verdict(g)
+    except classify.RouteDisagreementError as exc:
+        return [str(exc)]
+    comps = connected_components(g)
+    kinds = [classify.classify_shape(induced_on(g, c).graph).kind for c in comps]
+    expected = all(k == PATH for k in kinds) or (
+        kinds.count(TRIANGLE_WITH_PATHS) == 1
+        and all(k in (PATH, TRIANGLE_WITH_PATHS) for k in kinds)
+    )
+    return ["shape rule"] if verdict.licci != expected else []
 
 
-def _check_hu_necessary(max_n, jobs):
-    violations = []
-    data = _connected_data(max_n, jobs)
-    for g, rec in data:
-        if not rec.licci:
-            continue
-        height = 2 * g.n - rec.dim
-        if rec.reg < (height - 1) * (2 - 1):
-            violations.append({"graph6": rec.graph6, "detail": "bound fails"})
-    return len(data), violations
+def _hu_necessary(g, rec):
+    """Counted on every class, checked on the licci ones."""
+    height = 2 * g.n - rec.dim
+    return ["bound fails"] if rec.licci and rec.reg < (height - 1) * (2 - 1) else []
+
+
+def _labeled_graph(n: int, bits: int) -> Graph:
+    """The graph on 1..n with the pairs (in lex order) that bits selects."""
+    pairs = combinations(range(1, n + 1), 2)
+    return build_graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def _labeled_connected(n: int) -> list[Graph]:
+    graphs = (_labeled_graph(n, bits) for bits in range(1 << n * (n - 1) // 2))
+    return [g for g in graphs if is_connected(g)]
+
+
+# check -> (theorem id, labeled graph -> [(label suffix, ok)], seeded n = 5 sample?)
+_ORACLE_CHECKS = {
+    "primary-decomposition": (
+        "primary-decomposition-oracle",
+        lambda g: [("", verify_primary_decomposition(g))],
+        True,
+    ),
+    "colon": (
+        "colon-oracle",
+        lambda g: [
+            (f" e={e[0]}-{e[1]}", verify_colon_theorem(g, e)) for e in g.edges()
+        ],
+        False,
+    ),
+    "initial": (
+        "initial-ideal-oracle",
+        lambda g: [("", verify_initial_ideal(g))],
+        True,
+    ),
+    "ohtani": (
+        "ohtani-oracle",
+        lambda g: [(f" v={v}", verify_ohtani(g, v)) for v in cut_vertices(g)],
+        False,
+    ),
+}
 
 
 def _oracle_campaign(check: str, max_n: int):
-    """Exhaustive labeled runs at n <= 4 (plus fixed n=5 samples where allowed)."""
-    import random
+    """Exhaustive labeled runs at n <= 4, plus a seeded n = 5 sample where allowed.
 
-    violations = []
-    fixtures = []
-    checked = 0
-
-    def record(g: Graph, label: str, ok: bool):
-        nonlocal checked
-        checked += 1
-        fixtures.append(
-            {
-                "graph6": emit_graph6(g).decode("ascii"),
-                "labeling": label,
-                "check": check,
-                "ok": ok,
-            }
-        )
-        if not ok:
-            violations.append(
-                {"graph6": emit_graph6(g).decode("ascii"), "detail": label}
-            )
-
-    for n in range(1, min(max_n, 4) + 1):
-        for g in _labeled_connected(n):
-            label = f"{n};" + ",".join(f"{a}-{b}" for a, b in g.edges())
-            if check == "primary-decomposition":
-                record(g, label, verify_primary_decomposition(g))
-            elif check == "initial":
-                record(g, label, verify_initial_ideal(g))
-            elif check == "colon":
-                for e in g.edges():
-                    record(g, f"{label} e={e[0]}-{e[1]}", verify_colon_theorem(g, e))
-            elif check == "ohtani":
-                for v in cut_vertices(g):
-                    record(g, f"{label} v={v}", verify_ohtani(g, v))
-            else:
-                raise ValueError(f"unknown oracle check {check!r}")
-    if max_n >= 5 and check in ("primary-decomposition", "initial"):
+    Returns (instances, violations, fixtures), one fixture per instance.
+    """
+    _, checks, sampled = _ORACLE_CHECKS[check]
+    graphs = [g for n in range(1, min(max_n, 4) + 1) for g in _labeled_connected(n)]
+    if max_n >= 5 and sampled:
         rng = random.Random(20240 + len(check))
-        pairs = list(combinations(range(1, 6), 2))
-        done = 0
-        while done < 12:
-            k = rng.getrandbits(len(pairs))
-            g = build_graph(5, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
-            if not is_connected(g):
-                continue
-            label = "5;" + ",".join(f"{a}-{b}" for a, b in g.edges())
-            if check == "primary-decomposition":
-                record(g, label, verify_primary_decomposition(g))
-            else:
-                record(g, label, verify_initial_ideal(g))
-            done += 1
-    return checked, violations, fixtures
+        target = len(graphs) + 12
+        while len(graphs) < target:
+            g = _labeled_graph(5, rng.getrandbits(10))
+            if is_connected(g):
+                graphs.append(g)
+    fixtures = []
+    for g in graphs:
+        g6 = emit_graph6(g).decode("ascii")
+        label = f"{g.n};" + ",".join(f"{a}-{b}" for a, b in g.edges())
+        fixtures.extend(
+            {"graph6": g6, "labeling": label + suffix, "check": check, "ok": ok}
+            for suffix, ok in checks(g)
+        )
+    violations = [
+        {"graph6": fx["graph6"], "detail": fx["labeling"]}
+        for fx in fixtures
+        if not fx["ok"]
+    ]
+    return len(fixtures), violations, fixtures
 
 
 def write_fixtures(fixtures: list[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        for fx in fixtures:
-            fh.write(json.dumps(fx, separators=(",", ":")) + "\n")
+    data = "".join(json.dumps(fx, separators=(",", ":")) + "\n" for fx in fixtures)
+    _replace_atomically(path, data.encode("utf-8"))
 
 
 def _oracle_sweep(check: str):
     """A theorem-sweep entry running one oracle campaign; fixtures are dropped."""
-
-    def sweep(max_n, jobs):
-        instances, violations, _ = _oracle_campaign(check, max_n)
-        return instances, violations
-
-    return sweep
+    return lambda max_n, jobs: _oracle_campaign(check, max_n)[:2]
 
 
 THEOREMS = {
-    "naoki-bound": _check_naoki_bound,
-    "disconnected-bound": _check_disconnected_bound,
-    "regmax-path": _check_regmax_path,
-    "licci-equivalence": _check_licci_equivalence,
-    "chordal-licci": _check_chordal_licci,
-    "codim1": _check_codim1,
-    "cutvertex-degree4": _check_cutvertex_degree4,
-    "unmixed-gap": _check_unmixed_gap,
-    "decomposable-reg": _check_decomposable_reg,
-    "bipartite-licci": _check_bipartite,
-    "disconnected-licci": _check_disconnected_licci,
-    "hu-necessary": _check_hu_necessary,
-    "primary-decomposition-oracle": _oracle_sweep("primary-decomposition"),
-    "colon-oracle": _oracle_sweep("colon"),
-    "initial-ideal-oracle": _oracle_sweep("initial"),
-    "ohtani-oracle": _oracle_sweep("ohtani"),
+    "naoki-bound": _sweep(_connected_data, _naoki_bound),
+    "disconnected-bound": _sweep(_all_classes, _disconnected_bound),
+    "regmax-path": _sweep(_connected_data, _regmax_path),
+    "licci-equivalence": _licci_equivalence,
+    "chordal-licci": _sweep(_connected_data, _chordal_licci),
+    "codim1": _sweep(_connected_graphs, _codim1),
+    "cutvertex-degree4": _sweep(_connected_data, _cutvertex_degree4),
+    "unmixed-gap": _sweep(_connected_data, _unmixed_gap),
+    "decomposable-reg": _sweep(_connected_data, _decomposable_reg),
+    "bipartite-licci": _sweep(_connected_data, _bipartite_licci),
+    "disconnected-licci": _sweep(_all_classes, _disconnected_licci),
+    "hu-necessary": _sweep(_connected_data, _hu_necessary),
+    **{tid: _oracle_sweep(check) for check, (tid, _, _) in _ORACLE_CHECKS.items()},
 }
 
 

@@ -49,7 +49,6 @@ class Shape:
 @dataclass(frozen=True)
 class LicciVerdict:
     licci: bool
-    route: str  # "shape" | "algebra" | "chordal"
     witness: Optional[InvariantRecord]
     shape: Optional[Shape]
     component_shapes: tuple[Shape, ...] = ()
@@ -119,13 +118,13 @@ def licci_by_shape(G: Graph) -> LicciVerdict:
     isolated = tuple(c[0] for c in comps if len(c) == 1)
     if len(comps) == 1:
         licci = shapes[0].kind in (PATH, TRIANGLE_WITH_PATHS)
-        return LicciVerdict(licci, "shape", None, shapes[0], shapes, isolated)
+        return LicciVerdict(licci, None, shapes[0], shapes, isolated)
     kinds = [s.kind for s in shapes]
     licci = all(k == PATH for k in kinds) or (
         kinds.count(TRIANGLE_WITH_PATHS) == 1
         and all(k == PATH for k in kinds if k != TRIANGLE_WITH_PATHS)
     )
-    return LicciVerdict(licci, "shape", None, None, shapes, isolated)
+    return LicciVerdict(licci, None, None, shapes, isolated)
 
 
 def licci_by_algebra(G: Graph, rec: InvariantRecord) -> LicciVerdict:
@@ -135,7 +134,7 @@ def licci_by_algebra(G: Graph, rec: InvariantRecord) -> LicciVerdict:
     c = len(connected_components(G))
     threshold = G.n - 2 if c == 1 else G.n - c - 1
     licci = rec.cm and rec.reg >= threshold
-    return LicciVerdict(licci, "algebra", rec, None)
+    return LicciVerdict(licci, rec, None)
 
 
 def chordal_licci(G: Graph, rec: InvariantRecord) -> LicciVerdict:
@@ -148,7 +147,7 @@ def chordal_licci(G: Graph, rec: InvariantRecord) -> LicciVerdict:
     if G.edge_count() == 0:
         raise ValueError("edgeless graph has no proper ideal to classify")
     licci = rec.unmixed and rec.reg >= G.n - 2
-    return LicciVerdict(licci, "chordal", rec, None)
+    return LicciVerdict(licci, rec, None)
 
 
 def hu_bound_holds(G: Graph, best_effort: bool = False) -> bool:
@@ -180,7 +179,6 @@ class CombinedVerdict:
     component_shapes: tuple[Shape, ...]
     witness: InvariantRecord
     chordal: bool
-    routes: tuple[str, ...]
     routes_agree: bool
 
 
@@ -209,6 +207,5 @@ def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
         component_shapes=by_shape.component_shapes,
         witness=rec,
         chordal=chordal,
-        routes=tuple(routes),
         routes_agree=True,
     )

@@ -14,6 +14,7 @@ import click
 
 from .census import (
     THEOREMS,
+    _ORACLE_CHECKS,
     _oracle_campaign,
     analyze as analyze_graph,
     default_jobs,
@@ -146,11 +147,7 @@ def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
 
 
 @main.command("oracle")
-@click.option(
-    "--check",
-    required=True,
-    type=click.Choice(["primary-decomposition", "colon", "initial", "ohtani"]),
-)
+@click.option("--check", required=True, type=click.Choice(list(_ORACLE_CHECKS)))
 @click.option("--max-n", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               callback=_in_existing_dir,

@@ -190,38 +190,46 @@ def test_census_counts():
     assert all(r.reg <= r.n - 1 for r in records.values())
 
 
-def test_run_verification_reports():
+def test_run_verification_reports(monkeypatch):
+    def no_records(*args, **kwargs):
+        raise AssertionError("codim1 needs no census records")
+
+    monkeypatch.setattr(census, "compute_records", no_records)
     rep = run_verification("codim1", 5)
-    assert rep.ok() and rep.instances > 0
+    assert rep.ok() and rep.instances == 23
     assert rep.to_json()["violations"] == []
     with pytest.raises(ValueError):
         run_verification("no-such-theorem", 5)
 
 
+REGISTRY_CASES = [
+    ("naoki-bound", 4, 9),
+    ("regmax-path", 4, 9),
+    ("licci-equivalence", 4, 9),
+    ("chordal-licci", 4, 8),
+    ("decomposable-reg", 5, 10),
+    ("unmixed-gap", 5, 2),
+    ("cutvertex-degree4", 5, 5),
+    ("bipartite-licci", 5, 10),
+    ("disconnected-licci", 5, 17),
+    ("disconnected-bound", 5, 47),
+    ("hu-necessary", 5, 30),  # every class counts, the licci ones are checked
+    ("primary-decomposition-oracle", 3, 6),
+    ("colon-oracle", 3, 10),
+    ("initial-ideal-oracle", 3, 6),
+    ("ohtani-oracle", 3, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "theorem,max_n",
-    [
-        ("naoki-bound", 4),
-        ("regmax-path", 4),
-        ("licci-equivalence", 4),
-        ("chordal-licci", 4),
-        ("decomposable-reg", 5),
-        ("unmixed-gap", 5),
-        ("cutvertex-degree4", 5),
-        ("bipartite-licci", 5),
-        ("disconnected-licci", 5),
-        ("disconnected-bound", 5),
-        ("hu-necessary", 5),
-        ("primary-decomposition-oracle", 3),
-        ("colon-oracle", 3),
-        ("initial-ideal-oracle", 3),
-        ("ohtani-oracle", 3),
-    ],
+    "theorem,max_n,instances",
+    REGISTRY_CASES,
+    ids=[f"{theorem}-{max_n}" for theorem, max_n, _ in REGISTRY_CASES],
 )
-def test_every_registry_entry_runs_clean(theorem, max_n):
+def test_every_registry_entry_runs_clean(theorem, max_n, instances):
     rep = run_verification(theorem, max_n, jobs=1)
     assert rep.ok()
-    assert rep.instances > 0
+    assert rep.instances == instances
 
 
 def _raise_every_reg(monkeypatch):
@@ -318,10 +326,10 @@ def test_cli_census_and_verify(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "8"])
     assert res.exit_code == 3 and "census tier" in res.output
-    res = runner.invoke(
-        main, ["census", "--max-n", "3", "--out", str(out)], env={"BEI_JOBS": "many"}
-    )
-    assert res.exit_code == 2 and "BEI_JOBS" in res.output
+    for env_jobs in ("many", "0", "-4"):
+        argv = ["census", "--max-n", "3", "--out", str(out)]
+        res = runner.invoke(main, argv, env={"BEI_JOBS": env_jobs})
+        assert res.exit_code == 2 and "BEI_JOBS" in res.output
     for jobs in ("-4", "0"):  # a usage error, not serial or "all cores"
         res = runner.invoke(main, ["census", "--max-n", "3", "--out", str(out), "--jobs", jobs])
         assert res.exit_code == 2 and "--jobs" in res.output
@@ -348,7 +356,7 @@ def test_cli_no_vacuous_pass(tmp_path):
     assert not list(tmp_path.glob("empty.jsonl*"))  # no JSONL, index or temp file
 
 
-def test_cli_oracle_fixtures(tmp_path):
+def test_cli_oracle_fixtures(tmp_path, monkeypatch):
     runner = CliRunner()
     fx = tmp_path / "fixtures.jsonl"
     res = runner.invoke(
@@ -364,6 +372,24 @@ def test_cli_oracle_fixtures(tmp_path):
     )
     assert res.exit_code == 2 and "does not exist" in res.output
 
+    # serialization failing partway leaves the earlier file whole, and no temp file
+    before = fx.read_bytes()
+    real_dumps = json.dumps
+    dumped = []
+
+    def failing_dumps(obj, **kwargs):
+        dumped.append(obj)
+        if len(dumped) == 3:
+            raise RuntimeError("serialization failed")
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(census.json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="serialization failed"):
+        census.write_fixtures([dict(l, ok=False) for l in lines], str(fx))
+    monkeypatch.undo()
+    assert fx.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fixtures.jsonl"]
+
 
 def test_jobs_env_override(monkeypatch):
     from bei.census import default_jobs
@@ -372,9 +398,10 @@ def test_jobs_env_override(monkeypatch):
     assert default_jobs() == 3
     monkeypatch.setenv("BEI_JOBS", "64")
     assert default_jobs() == 64  # the request; the pool is capped separately
-    monkeypatch.setenv("BEI_JOBS", "many")
-    with pytest.raises(ValueError, match="BEI_JOBS"):
-        default_jobs()
+    for env_jobs in ("many", "0", "-4"):
+        monkeypatch.setenv("BEI_JOBS", env_jobs)
+        with pytest.raises(ValueError, match="BEI_JOBS"):
+            default_jobs()
     monkeypatch.delenv("BEI_JOBS")
     assert default_jobs() >= 1
 
