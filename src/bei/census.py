@@ -320,8 +320,9 @@ def _sweep(population, statement):
             if details is None:
                 continue
             instances += 1
-            g6 = canonical_form(g).decode("ascii")
-            violations.extend({"graph6": g6, "detail": d} for d in details)
+            if details:
+                g6 = canonical_form(g).decode("ascii")
+                violations.extend({"graph6": g6, "detail": d} for d in details)
         return instances, violations
 
     return sweep
