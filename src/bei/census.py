@@ -34,7 +34,7 @@ from .classify import PATH, TRIANGLE_WITH_PATHS, CombinedVerdict, licci_verdict
 from .cliques import codim1_conditions, is_chordal, maximal_cliques
 from .degeneration import invariants
 from .errors import TierExceededError
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, format_edge_list, parse_graph6
 from .graphs import (
     Graph,
     build_graph,
@@ -514,7 +514,7 @@ def _oracle_campaign(check: str, max_n: int):
     fixtures = []
     for g in graphs:
         g6 = emit_graph6(g).decode("ascii")
-        label = f"{g.n};" + ",".join(f"{a}-{b}" for a, b in g.edges())
+        label = format_edge_list(g)
         fixtures.extend(
             {"graph6": g6, "labeling": label + suffix, "check": check, "ok": ok}
             for suffix, ok in checks(g)

@@ -5,7 +5,8 @@ paths).  The algebra route asks for Cohen-Macaulayness plus regularity in
 the top window; for chordal graphs a third route needs only unmixedness.
 When more than one route applies they are all computed and compared; a
 disagreement raises instead of picking a winner.  The algebraic routes read
-one record ``rec = invariants(G)``, computed once by ``licci_verdict``.
+one record ``rec = invariants(G)`` and one ``is_chordal`` result, both
+computed once by ``licci_verdict``; each route returns a plain verdict.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from typing import Optional
 from .cliques import is_chordal
 from .degeneration import InvariantRecord, invariants
 from .errors import RouteDisagreementError
-from .graphs import (
-    Graph,
-    connected_components,
-    induced_on,
-    is_bipartite,
-    is_connected,
-)
+from .graphs import Graph, connected_components, induced_on, is_connected
 
 PATH = "path"
 TRIANGLE_WITH_PATHS = "triangle_with_paths"
@@ -40,16 +35,10 @@ class Shape:
             out["r"], out["s"], out["t"] = self.attached
         return out
 
-    def __str__(self) -> str:
-        if self.attached is not None:
-            return f"{self.kind}{self.attached}"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class LicciVerdict:
     licci: bool
-    witness: Optional[InvariantRecord]
     shape: Optional[Shape]
     component_shapes: tuple[Shape, ...] = ()
     isolated_vertices: tuple[int, ...] = ()
@@ -118,58 +107,36 @@ def licci_by_shape(G: Graph) -> LicciVerdict:
     isolated = tuple(c[0] for c in comps if len(c) == 1)
     if len(comps) == 1:
         licci = shapes[0].kind in (PATH, TRIANGLE_WITH_PATHS)
-        return LicciVerdict(licci, None, shapes[0], shapes, isolated)
+        return LicciVerdict(licci, shapes[0], shapes, isolated)
     kinds = [s.kind for s in shapes]
     licci = all(k == PATH for k in kinds) or (
         kinds.count(TRIANGLE_WITH_PATHS) == 1
         and all(k == PATH for k in kinds if k != TRIANGLE_WITH_PATHS)
     )
-    return LicciVerdict(licci, None, None, shapes, isolated)
+    return LicciVerdict(licci, None, shapes, isolated)
 
 
-def licci_by_algebra(G: Graph, rec: InvariantRecord) -> LicciVerdict:
+def licci_by_algebra(G: Graph, rec: InvariantRecord) -> bool:
     """Cohen-Macaulay plus regularity at least n-2 (n-c-1 with c components)."""
     if G.edge_count() == 0:
         raise ValueError("edgeless graph has no proper ideal to classify")
     c = len(connected_components(G))
     threshold = G.n - 2 if c == 1 else G.n - c - 1
-    licci = rec.cm and rec.reg >= threshold
-    return LicciVerdict(licci, rec, None)
+    return rec.cm and rec.reg >= threshold
 
 
-def chordal_licci(G: Graph, rec: InvariantRecord) -> LicciVerdict:
-    """For connected chordal graphs unmixedness replaces Cohen-Macaulayness."""
+def chordal_licci(G: Graph, rec: InvariantRecord, chordal: bool) -> bool:
+    """For connected chordal graphs unmixedness replaces Cohen-Macaulayness.
+
+    ``chordal`` is the caller's ``is_chordal(G)`` result.
+    """
     if not is_connected(G):
         raise ValueError("chordal route needs a connected graph")
-    chordal, _ = is_chordal(G)
     if not chordal:
         raise ValueError("chordal route needs a chordal graph")
     if G.edge_count() == 0:
         raise ValueError("edgeless graph has no proper ideal to classify")
-    licci = rec.unmixed and rec.reg >= G.n - 2
-    return LicciVerdict(licci, rec, None)
-
-
-def hu_bound_holds(G: Graph, best_effort: bool = False) -> bool:
-    """reg >= (height - 1)(indeg - 1); a necessary condition for licci when CM."""
-    if G.edge_count() == 0:
-        raise ValueError("edgeless graph has no bound to evaluate")
-    rec = invariants(G, best_effort)
-    return rec.reg >= (rec.height - 1) * (rec.indeg - 1)
-
-
-def bipartite_corollary(G: Graph) -> bool:
-    """Bipartite connected graphs are licci exactly when they are paths."""
-    if not is_connected(G):
-        raise ValueError("needs a connected graph")
-    if not is_bipartite(G):
-        raise ValueError("needs a bipartite graph")
-    verdict = licci_by_shape(G)
-    if verdict.licci != (verdict.shape.kind == PATH):
-        raise RouteDisagreementError(
-            "bipartite verdict differs from the path test"
-        )
-    return verdict.licci
+    return rec.unmixed and rec.reg >= G.n - 2
 
 
 @dataclass(frozen=True)
@@ -193,10 +160,10 @@ def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
     rec = invariants(G, best_effort)
     chordal, _ = is_chordal(G)
     routes = ["shape", "algebra"]
-    verdicts = [by_shape.licci, licci_by_algebra(G, rec).licci]
+    verdicts = [by_shape.licci, licci_by_algebra(G, rec)]
     if chordal and is_connected(G):
         routes.append("chordal")
-        verdicts.append(chordal_licci(G, rec).licci)
+        verdicts.append(chordal_licci(G, rec, chordal))
     if len(set(verdicts)) != 1:
         raise RouteDisagreementError(
             f"licci routes disagree on {G}: {dict(zip(routes, verdicts))}"

@@ -1,4 +1,4 @@
-"""Maximal cliques, the clique complex, chordality, and facet leaf orders."""
+"""Maximal cliques, chordality, and the codimension-one facet conditions."""
 
 from __future__ import annotations
 
@@ -79,10 +79,6 @@ def maximal_cliques(G: Graph) -> CliqueSummary:
     )
 
 
-def clique_complex(G: Graph) -> SimplicialComplex:
-    return SimplicialComplex(G.n, tuple(_maximal_clique_masks(G)))
-
-
 def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Chordality test via maximum cardinality search plus explicit verification.
 
@@ -124,59 +120,6 @@ def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
             if adj[u] & rest != rest:
                 return (False, None)
     return (True, tuple(v + 1 for v in elim))
-
-
-def _leaf_candidates(facets: list[int]) -> list[int]:
-    """Indices of facets that have a branch among the other facets."""
-    out = []
-    for a, fa in enumerate(facets):
-        for b, fb in enumerate(facets):
-            if b == a:
-                continue
-            if all(
-                (fc & fa) & ~(fb & fa) == 0
-                for c, fc in enumerate(facets)
-                if c != a
-            ):
-                out.append(a)
-                break
-    return out
-
-
-def dirac_leaf_order(G: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Order the clique-complex facets so each one is a leaf of its predecessors.
-
-    Constructed by repeatedly plucking a leaf from the remaining facet set,
-    canonically last first, so canonical facets land early in the order;
-    backtracking covers any pluck order greediness would lose.  Returns None
-    exactly for non-chordal input, cross-checked against the
-    elimination-order test.
-    """
-    if not is_connected(G):
-        raise ValueError("leaf order is defined for connected graphs")
-    facets = _maximal_clique_masks(G)
-
-    def pluck(remaining: tuple[int, ...]) -> Optional[list[int]]:
-        if len(remaining) <= 1:
-            return list(remaining)
-        pool = list(remaining)
-        # prefer plucking the canonically last leaf, so canonical facets land early
-        for idx in reversed(_leaf_candidates(pool)):
-            rest = tuple(pool[:idx] + pool[idx + 1 :])
-            head = pluck(rest)
-            if head is not None:
-                return head + [pool[idx]]
-        return None
-
-    order = pluck(tuple(facets))
-    chordal, _ = is_chordal(G)
-    if (order is not None) != chordal:
-        raise AssertionError(
-            "leaf-order construction disagrees with the elimination-order test"
-        )
-    if order is None:
-        return None
-    return tuple(mask_to_labels(f) for f in order)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Optional
 
 from .cliques import SimplicialComplex
 from .errors import TierExceededError
@@ -501,13 +500,10 @@ def betti_table(I: SquarefreeMonomialIdeal, best_effort: bool = False) -> BettiT
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    n: int
     reg: int
     pd: int
     depth: int
     dim: int
-    height: int
-    indeg: Optional[int]
     unmixed: bool
     cm: bool
     prime_count: int  # minimal primes, one per cut set
@@ -536,13 +532,10 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
     dim = summary.dim_quotient
     depth = 2 * G.n - pd
     return InvariantRecord(
-        n=G.n,
         reg=reg,
         pd=pd,
         depth=depth,
         dim=dim,
-        height=2 * G.n - dim,
-        indeg=2 if G.edge_count() else None,
         unmixed=summary.unmixed,
         cm=(depth == dim),
         prime_count=len(summary.primes),

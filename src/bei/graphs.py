@@ -7,7 +7,6 @@ everything here is safe to call from parallel workers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -214,15 +213,6 @@ def vertex_stats(G: Graph, v: int) -> VertexStats:
     )
 
 
-def alpha_min(G: Graph, excluded) -> int:
-    """Minimum ``alpha`` over the vertices outside ``excluded``."""
-    ex_mask = labels_to_mask(excluded)
-    outside = [v for v in range(1, G.n + 1) if not ex_mask >> (v - 1) & 1]
-    if not outside:
-        raise ValueError("excluded set covers all vertices; minimum undefined")
-    return min(vertex_stats(G, v).alpha for v in outside)
-
-
 def ohtani_completion(G: Graph, v: int) -> Graph:
     """Make the neighborhood of v a clique; everything else unchanged."""
     nb = G.adj[v - 1]
@@ -256,10 +246,6 @@ class VertexPath:
     """A simple path, stored as its ordered 1-based vertex sequence."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
 
     @property
     def inner(self) -> tuple[int, ...]:
@@ -305,8 +291,8 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
-def _splits(G: Graph):
-    """Every witness (v, part1, part2) for a split at a vertex simplicial in both parts.
+def is_decomposable(G: Graph) -> Optional[tuple[int, InducedSubgraph, InducedSubgraph]]:
+    """The first split (v, part1, part2) at a vertex simplicial in both parts, or None.
 
     Only two-component splits of G - v can work: every component of G - v
     contains a neighbor of v, and neighbors in different components are never
@@ -314,6 +300,10 @@ def _splits(G: Graph):
     condition there.  Parts are induced on (component + v) and have at least
     2 vertices each.
     """
+    if G.n < 2:
+        raise ValueError("need at least 2 vertices")
+    if not is_connected(G):
+        raise ValueError("decomposability is defined for connected graphs")
     full = G.full_mask()
     for v in range(1, G.n + 1):
         vbit = 1 << (v - 1)
@@ -323,33 +313,8 @@ def _splits(G: Graph):
         nb = G.adj[v - 1]
         if all(_is_clique(G.adj, nb & c) for c in comps):
             part1, part2 = (induced_on(G, mask_to_labels(c | vbit)) for c in comps)
-            yield v, part1, part2
-
-
-def is_decomposable(G: Graph) -> Optional[tuple[int, InducedSubgraph, InducedSubgraph]]:
-    """The first witness (v, part1, part2) of ``_splits``, or None."""
-    if G.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if not is_connected(G):
-        raise ValueError("decomposability is defined for connected graphs")
-    return next(_splits(G), None)
-
-
-def decompose_fully(G: Graph, rng: Optional[random.Random] = None) -> list[Graph]:
-    """Recursive split into indecomposable pieces.
-
-    ``rng`` randomizes which witness vertex is split first; the multiset of
-    canonical forms of the result does not depend on that choice.
-    """
-    if not is_connected(G):
-        raise ValueError("decompose_fully needs a connected graph")
-    if G.n < 2:
-        return [G]
-    witnesses = list(_splits(G))
-    if not witnesses:
-        return [G]
-    _, part1, part2 = witnesses[0] if rng is None else rng.choice(witnesses)
-    return decompose_fully(part1.graph, rng) + decompose_fully(part2.graph, rng)
+            return v, part1, part2
+    return None
 
 
 def is_bipartite(G: Graph) -> bool:

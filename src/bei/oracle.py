@@ -280,9 +280,6 @@ class Ideal:
             self._gb = buchberger(self)
         return self._gb
 
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.groebner()).is_zero()
-
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Full remainder of f modulo a list of monic polynomials."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _component_masks, is_connected, mask_to_labels
+from .graphs import Graph, _component_masks, mask_to_labels
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class MinimalPrime:
     cutset: CutSet
     height: int
 
-    def to_json(self) -> dict:
-        return {
-            "S": list(self.cutset.labels()),
-            "c": self.cutset.c,
-            "height": self.height,
-        }
-
 
 @dataclass(frozen=True)
 class DecompositionSummary:
@@ -41,14 +34,6 @@ class DecompositionSummary:
     height_ideal: int
     dim_quotient: int
     unmixed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "primes": [p.to_json() for p in self.primes],
-            "height": self.height_ideal,
-            "dim": self.dim_quotient,
-            "unmixed": self.unmixed,
-        }
 
 
 def _component_count(adj, full: int, removed: int) -> int:
@@ -94,19 +79,3 @@ def minimal_primes(G: Graph) -> DecompositionSummary:
         unmixed=len(heights) == 1,
     )
 
-
-def is_unmixed(G: Graph) -> bool:
-    """All minimal primes share a height.
-
-    For connected graphs the equivalent cut-set counting form c(S) = |S| + 1
-    is evaluated as well; a mismatch would be a bug, not a property of the
-    input.
-    """
-    summary = minimal_primes(G)
-    if is_connected(G):
-        by_counting = all(
-            p.cutset.c == p.cutset.mask.bit_count() + 1 for p in summary.primes
-        )
-        if by_counting != summary.unmixed:
-            raise AssertionError("height route and counting route disagree")
-    return summary.unmixed

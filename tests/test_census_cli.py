@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import bei
-from bei import census, classify, degeneration, primes
+from bei import census, classify, cliques, degeneration, primes
 from bei.census import (
     PIPELINE_VERSION,
     CensusRecord,
@@ -166,6 +166,7 @@ def test_analyze_computes_each_artifact_once(monkeypatch):
 
     count(degeneration, "invariants")
     count(primes, "cut_sets")
+    count(cliques, "is_chordal")
     for route in ("licci_by_shape", "licci_by_algebra", "chordal_licci"):
         count(classify, route)
     graphs = census_graphs(5)
@@ -173,6 +174,7 @@ def test_analyze_computes_each_artifact_once(monkeypatch):
         analyze(g)
     classes = len(graphs)
     assert counts["invariants"] == counts["cut_sets"] == classes == 30
+    assert counts["is_chordal"] == classes
     assert counts["licci_by_shape"] == counts["licci_by_algebra"] == classes
     assert counts["chordal_licci"] == sum(is_chordal(g)[0] for g in graphs)
 

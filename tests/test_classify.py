@@ -4,16 +4,15 @@ from bei.classify import (
     OTHER,
     PATH,
     TRIANGLE_WITH_PATHS,
-    bipartite_corollary,
     chordal_licci,
     classify_shape,
-    hu_bound_holds,
     licci_by_algebra,
     licci_by_shape,
     licci_verdict,
 )
+from bei.cliques import is_chordal
 from bei.degeneration import invariants
-from bei.graphs import build_graph, enumerate_connected
+from bei.graphs import build_graph, enumerate_connected, is_bipartite
 
 K3 = build_graph(3, [(1, 2), (2, 3), (1, 3)])
 DIAMOND = build_graph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -64,29 +63,27 @@ def by_algebra(G):
 
 
 def by_chordal(G):
-    return chordal_licci(G, invariants(G))
+    return chordal_licci(G, invariants(G), is_chordal(G)[0])
 
 
 def test_licci_by_algebra():
-    v = by_algebra(path_graph(4))
-    assert v.licci and v.witness.cm and v.witness.reg == 3
-    v = by_algebra(TRI_PENDANT)
-    assert v.licci and v.witness.reg == 2
-    v = by_algebra(DIAMOND)
-    assert not v.licci and not v.witness.unmixed
+    rec = invariants(path_graph(4))
+    assert by_algebra(path_graph(4)) and rec.cm and rec.reg == 3
+    assert by_algebra(TRI_PENDANT) and invariants(TRI_PENDANT).reg == 2
+    assert not by_algebra(DIAMOND) and not invariants(DIAMOND).unmixed
     # disconnected threshold: n - c - 1
     k3_p2 = build_graph(5, [(1, 2), (2, 3), (1, 3), (4, 5)])
-    assert by_algebra(k3_p2).licci
+    assert by_algebra(k3_p2)
     two_triangles = build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    assert not by_algebra(two_triangles).licci
+    assert not by_algebra(two_triangles)
 
 
 def test_chordal_licci():
     twp = build_graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
-    v = by_chordal(twp)
-    assert v.licci and v.witness.unmixed and v.witness.reg == 4
-    assert not by_chordal(STAR).licci
-    assert by_chordal(path_graph(6)).licci
+    rec = invariants(twp)
+    assert by_chordal(twp) and rec.unmixed and rec.reg == 4
+    assert not by_chordal(STAR)
+    assert by_chordal(path_graph(6))
     with pytest.raises(ValueError):
         by_chordal(C4)
     with pytest.raises(ValueError):
@@ -94,20 +91,20 @@ def test_chordal_licci():
 
 
 def test_hu_bound():
-    assert hu_bound_holds(path_graph(5))
+    # reg >= (height - 1)(indeg - 1), with height 2n - dim and indeg 2
     k4 = build_graph(4, [(i, j) for i in range(1, 4) for j in range(i + 1, 5)])
-    assert not hu_bound_holds(k4)  # CM but the bound fails, so K4 is not licci
-    assert hu_bound_holds(K3)
-    with pytest.raises(ValueError):
-        hu_bound_holds(build_graph(2, []))
+    for g, holds in [(path_graph(5), True), (k4, False), (K3, True)]:
+        rec = invariants(g)
+        assert (rec.reg >= 2 * g.n - rec.dim - 1) == holds
+    assert invariants(k4).cm  # CM but the bound fails, so K4 is not licci
 
 
 def test_bipartite_corollary():
-    assert bipartite_corollary(path_graph(5))
-    assert not bipartite_corollary(C4)
-    assert not bipartite_corollary(STAR)
-    with pytest.raises(ValueError):
-        bipartite_corollary(K3)
+    # bipartite connected graphs are licci exactly when they are paths
+    for g, licci in [(path_graph(5), True), (C4, False), (STAR, False)]:
+        assert is_bipartite(g)
+        verdict = licci_by_shape(g)
+        assert verdict.licci == licci == (verdict.shape.kind == PATH)
 
 
 def test_routes_agree_enumerated():
@@ -118,7 +115,8 @@ def test_routes_agree_enumerated():
             verdict = licci_verdict(g)  # raises on any route disagreement
             assert verdict.routes_agree
             if verdict.licci:
-                assert hu_bound_holds(g)
+                rec = verdict.witness
+                assert rec.reg >= 2 * g.n - rec.dim - 1
 
 
 def test_licci_counts_small():

@@ -2,14 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from bei.cliques import (
-    clique_complex,
-    codim1_conditions,
-    dirac_leaf_order,
-    is_chordal,
-    maximal_cliques,
-)
-from bei.graphs import build_graph, enumerate_connected, labels_to_mask
+from bei.cliques import codim1_conditions, is_chordal, maximal_cliques
+from bei.graphs import build_graph, enumerate_connected
 
 P4 = build_graph(4, [(1, 2), (2, 3), (3, 4)])
 K4 = build_graph(4, [(i, j) for i in range(1, 4) for j in range(i + 1, 5)])
@@ -29,11 +23,12 @@ def test_maximal_cliques_examples():
 
 
 def test_clique_complex_facets():
+    # the facets of the clique complex are the maximal cliques
     tri = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert clique_complex(tri).facet_labels() == ((1, 2, 3),)
+    assert maximal_cliques(tri).maximal_cliques == ((1, 2, 3),)
     p3 = build_graph(3, [(1, 2), (2, 3)])
-    assert clique_complex(p3).facet_labels() == ((1, 2), (2, 3))
-    assert clique_complex(TRI_PENDANT).facet_labels() == ((1, 2, 3), (3, 4))
+    assert maximal_cliques(p3).maximal_cliques == ((1, 2), (2, 3))
+    assert maximal_cliques(TRI_PENDANT).maximal_cliques == ((1, 2, 3), (3, 4))
 
 
 def brute_facets(g):
@@ -72,42 +67,36 @@ def test_is_chordal():
         assert all(DIAMOND.has_edge(a, b) for a, b in combinations(later, 2))
 
 
-def test_dirac_leaf_order():
-    assert dirac_leaf_order(TRI_PENDANT) == ((1, 2, 3), (3, 4))
-    assert dirac_leaf_order(C4) is None
-    assert dirac_leaf_order(K4) == ((1, 2, 3, 4),)
-    with pytest.raises(ValueError):
-        dirac_leaf_order(build_graph(3, [(1, 2)]))
+def has_long_induced_cycle(g):
+    """Oracle: some vertex set of size >= 4 induces a cycle (connected, 2-regular)."""
+    for r in range(4, g.n + 1):
+        for sub in combinations(range(1, g.n + 1), r):
+            nbrs = {v: {u for u in sub if g.has_edge(u, v)} for v in sub}
+            if any(len(nb) != 2 for nb in nbrs.values()):
+                continue
+            seen, stack = {sub[0]}, [sub[0]]
+            while stack:
+                for u in nbrs[stack.pop()] - seen:
+                    seen.add(u)
+                    stack.append(u)
+            if len(seen) == r:
+                return True
+    return False
 
 
-def leaf_order_is_valid(g, order):
-    masks = [labels_to_mask(f) for f in order]
-    for i in range(1, len(masks)):
-        fi = masks[i]
-        prior = masks[:i]
-        has_branch = any(
-            all(f & fi & ~(b & fi) == 0 for f in prior)
-            for b in prior
-        )
-        if not has_branch:
-            return False
-    return True
-
-
-def test_leaf_order_iff_chordal_enumerated():
-    for n in range(2, 7):
+def test_is_chordal_iff_no_long_induced_cycle():
+    for n in range(1, 8):
         for g in enumerate_connected(n):
-            order = dirac_leaf_order(g)
-            chordal, _ = is_chordal(g)
-            assert (order is not None) == chordal
-            if order is not None:
-                assert sorted(order) == sorted(maximal_cliques(g).maximal_cliques)
-                assert leaf_order_is_valid(g, order)
-
-
-def test_leaf_order_iff_chordal_seven_vertices():
-    for g in enumerate_connected(7):
-        assert (dirac_leaf_order(g) is not None) == is_chordal(g)[0]
+            chordal, order = is_chordal(g)
+            assert chordal != has_long_induced_cycle(g)
+            if chordal:
+                pos = {v: i for i, v in enumerate(order)}
+                assert sorted(pos) == list(range(1, n + 1))
+                for v in order:
+                    later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+                    assert all(g.has_edge(a, b) for a, b in combinations(later, 2))
+            else:
+                assert order is None
 
 
 def test_dim_plus_one_is_max_clique():

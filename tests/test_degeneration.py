@@ -325,8 +325,6 @@ def test_invariants_pinned_families():
         assert rec.reg == 1 and rec.cm and rec.dim == n + 1
     rec = invariants(STAR)
     assert rec.reg == 2 and not rec.unmixed and not rec.cm
-    assert rec.indeg == 2
-    assert invariants(build_graph(2, [])).indeg is None
 
 
 def test_invariants_disconnected_additive():

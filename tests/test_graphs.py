@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bei.graphs import (
-    alpha_min,
     build_graph,
     canonical_form,
     connected_components,
-    decompose_fully,
     edge_completion,
     enumerate_connected,
     induced_on,
@@ -117,14 +115,6 @@ def test_alpha_iff_simplicial_enumerated():
                 assert 0 <= s.alpha <= s.degree * (s.degree - 1) // 2
 
 
-def test_alpha_min():
-    assert alpha_min(TRI_PENDANT, [1, 2, 3]) == 0
-    assert alpha_min(STAR, [2]) == 0
-    assert alpha_min(DIAMOND, [1]) == 0
-    with pytest.raises(ValueError):
-        alpha_min(P3, [1, 2, 3])
-
-
 def test_completions():
     k4 = build_graph(4, [(i, j) for i in range(1, 4) for j in range(i + 1, 5)])
     assert ohtani_completion(STAR, 1) == k4
@@ -215,29 +205,6 @@ def test_decomposable_witness_is_simplicial_in_both_parts():
             for part in (p1, p2):
                 assert part.graph.n >= 2
                 assert vertex_stats(part.graph, part.new_label(v)).simplicial
-
-
-def test_decompose_fully():
-    p5 = build_graph(5, [(i, i + 1) for i in range(1, 5)])
-    assert sorted(p.n for p in decompose_fully(p5)) == [2, 2, 2, 2]
-    twp = build_graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
-    pieces = decompose_fully(twp)
-    assert sorted(canonical_form(p) for p in pieces) == sorted(
-        [canonical_form(K3)] + [canonical_form(build_graph(2, [(1, 2)]))] * 3
-    )
-    assert decompose_fully(K3) == [K3]
-
-
-def test_decompose_fully_order_independent():
-    rng = random.Random(99)
-    for n in range(2, 7):
-        for g in enumerate_connected(n):
-            base = sorted(canonical_form(p) for p in decompose_fully(g))
-            for _ in range(3):
-                alt = sorted(
-                    canonical_form(p) for p in decompose_fully(g, rng)
-                )
-                assert alt == base
 
 
 def test_is_bipartite():

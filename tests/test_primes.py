@@ -2,7 +2,7 @@ from itertools import combinations
 
 from bei.degeneration import invariants
 from bei.graphs import build_graph, enumerate_connected
-from bei.primes import cut_sets, is_unmixed, minimal_primes
+from bei.primes import cut_sets, minimal_primes
 
 P3 = build_graph(3, [(1, 2), (2, 3)])
 K3 = build_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -88,13 +88,28 @@ def test_top_dimension_does_not_force_unmixed():
     assert sorted(p.height for p in s.primes) == [3, 4, 4]
 
 
+def unmixed(g):
+    return minimal_primes(g).unmixed
+
+
 def test_is_unmixed_examples():
     for n in range(2, 8):
-        assert is_unmixed(build_graph(n, [(i, i + 1) for i in range(1, n)]))
-    assert not is_unmixed(STAR)
+        assert unmixed(build_graph(n, [(i, i + 1) for i in range(1, n)]))
+    assert not unmixed(STAR)
     twp = build_graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
-    assert is_unmixed(twp)
-    assert not is_unmixed(DIAMOND)
+    assert unmixed(twp)
+    assert not unmixed(DIAMOND)
+
+
+def test_unmixed_iff_cut_set_counting():
+    # for connected graphs all heights agree exactly when c(S) = |S| + 1
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            s = minimal_primes(g)
+            by_counting = all(
+                p.cutset.c == p.cutset.mask.bit_count() + 1 for p in s.primes
+            )
+            assert s.unmixed == by_counting
 
 
 def test_cm_implies_unmixed_enumerated():
@@ -112,9 +127,3 @@ def test_dim_matches_unmixed_characterization_disconnected():
     assert s.unmixed
     assert s.dim_quotient == 6
 
-
-def test_prime_serialization():
-    s = minimal_primes(P3)
-    assert s.primes[1].to_json() == {"S": [2], "c": 2, "height": 2}
-    d = s.to_json()
-    assert d["dim"] == 4 and d["unmixed"] and len(d["primes"]) == 2
