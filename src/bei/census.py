@@ -40,6 +40,7 @@ from .graphs import (
     build_graph,
     canonical_form,
     connected_components,
+    cut_vertices,
     enumerate_connected,
     enumerate_graphs,
     induced_on,
@@ -48,7 +49,6 @@ from .graphs import (
     is_decomposable,
 )
 from .oracle import (
-    cut_vertices,
     verify_colon_theorem,
     verify_initial_ideal,
     verify_ohtani,
@@ -501,7 +501,10 @@ def _oracle_campaign(check: str, max_n: int):
     """Exhaustive labeled runs at n <= 4, plus a seeded n = 5 sample where allowed.
 
     Returns (instances, violations, fixtures), one fixture per instance.
+    Nothing above n = 5 is checked, so a larger ``max_n`` is refused.
     """
+    if max_n > 5:
+        raise TierExceededError(f"oracle campaign tier is n <= 5, got {max_n}")
     _, checks, sampled = _ORACLE_CHECKS[check]
     graphs = [g for n in range(1, min(max_n, 4) + 1) for g in _labeled_connected(n)]
     if max_n >= 5 and sampled:

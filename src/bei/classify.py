@@ -41,7 +41,6 @@ class LicciVerdict:
     licci: bool
     shape: Optional[Shape]
     component_shapes: tuple[Shape, ...] = ()
-    isolated_vertices: tuple[int, ...] = ()
 
 
 def classify_shape(G: Graph) -> Shape:
@@ -104,16 +103,15 @@ def licci_by_shape(G: Graph) -> LicciVerdict:
         raise ValueError("edgeless graph has no proper ideal to classify")
     comps = connected_components(G)
     shapes = tuple(classify_shape(induced_on(G, c).graph) for c in comps)
-    isolated = tuple(c[0] for c in comps if len(c) == 1)
     if len(comps) == 1:
         licci = shapes[0].kind in (PATH, TRIANGLE_WITH_PATHS)
-        return LicciVerdict(licci, shapes[0], shapes, isolated)
+        return LicciVerdict(licci, shapes[0], shapes)
     kinds = [s.kind for s in shapes]
     licci = all(k == PATH for k in kinds) or (
         kinds.count(TRIANGLE_WITH_PATHS) == 1
         and all(k == PATH for k in kinds if k != TRIANGLE_WITH_PATHS)
     )
-    return LicciVerdict(licci, None, shapes, isolated)
+    return LicciVerdict(licci, None, shapes)
 
 
 def licci_by_algebra(G: Graph, rec: InvariantRecord) -> bool:

@@ -19,22 +19,12 @@ class SimplicialComplex:
     vertex_count: int
     facets: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        if not self.facets:
-            raise ValueError("void complex has no dimension")
-        return max(f.bit_count() for f in self.facets) - 1
-
-    def facet_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(mask_to_labels(f) for f in self.facets)
-
 
 @dataclass(frozen=True)
 class CliqueSummary:
     maximal_cliques: tuple[tuple[int, ...], ...]
     count: int
     dim: int
-    omega: int
 
 
 def _maximal_clique_masks(G: Graph) -> list[int]:
@@ -70,12 +60,10 @@ def _maximal_clique_masks(G: Graph) -> list[int]:
 
 def maximal_cliques(G: Graph) -> CliqueSummary:
     masks = _maximal_clique_masks(G)
-    omega = max(m.bit_count() for m in masks)
     return CliqueSummary(
         maximal_cliques=tuple(mask_to_labels(m) for m in masks),
         count=len(masks),
-        dim=omega - 1,
-        omega=omega,
+        dim=max(m.bit_count() for m in masks) - 1,
     )
 
 

@@ -83,7 +83,6 @@ def monomial_ideal(n_vars: int, gens) -> SquarefreeMonomialIdeal:
 @dataclass(frozen=True)
 class AdmissiblePath:
     path: VertexPath
-    u_mask: int
     lead: int
 
 
@@ -115,12 +114,10 @@ def admissible_paths(G: Graph) -> list[AdmissiblePath]:
                     continue
                 if not _inner_minimal(G, a, b, inner):
                     continue
-                u = 0
+                lead = x_slot(n, a) | y_slot(n, b)
                 for k in inner:
-                    u |= x_slot(n, k) if k > b else y_slot(n, k)
-                out.append(
-                    AdmissiblePath(path, u, u | x_slot(n, a) | y_slot(n, b))
-                )
+                    lead |= x_slot(n, k) if k > b else y_slot(n, k)
+                out.append(AdmissiblePath(path, lead))
     return out
 
 

@@ -125,9 +125,6 @@ class InducedSubgraph:
     graph: Graph
     labels: tuple[int, ...]
 
-    def new_label(self, original: int) -> int:
-        return self.labels.index(original) + 1
-
 
 def restriction(G: Graph, removed) -> InducedSubgraph:
     """Induced subgraph on the vertices outside ``removed`` (set of labels)."""
@@ -154,62 +151,27 @@ def induced_on(G: Graph, kept) -> InducedSubgraph:
     return restriction(G, mask_to_labels(G.full_mask() & ~keep_mask))
 
 
-def toggle_edge(G: Graph, e, mode: str) -> Graph:
-    """Add or delete one edge; the requested change must be a real change."""
+def delete_edge(G: Graph, e) -> Graph:
+    """G without the edge ``e``, which must be present."""
     a, b = e
     if a == b or not (1 <= a <= G.n and 1 <= b <= G.n):
         raise ValueError(f"bad edge {{{a},{b}}}")
-    present = G.has_edge(a, b)
-    if mode == "add":
-        if present:
-            raise ValueError(f"edge {{{a},{b}}} already present")
-    elif mode == "delete":
-        if not present:
-            raise ValueError(f"edge {{{a},{b}}} not present")
-    else:
-        raise ValueError(f"mode must be 'add' or 'delete', got {mode!r}")
+    if not G.has_edge(a, b):
+        raise ValueError(f"edge {{{a},{b}}} not present")
     adj = list(G.adj)
     adj[a - 1] ^= 1 << (b - 1)
     adj[b - 1] ^= 1 << (a - 1)
     return Graph(G.n, tuple(adj))
 
 
-@dataclass(frozen=True)
-class VertexStats:
-    vertex: int
-    degree: int
-    alpha: int
-    simplicial: bool
-    cut_vertex: bool
-
-
-def _edges_within(adj: tuple[int, ...], mask: int) -> int:
-    count = 0
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        count += (adj[b.bit_length() - 1] & mask).bit_count()
-    return count // 2
-
-
-def vertex_stats(G: Graph, v: int) -> VertexStats:
-    """Degree, deficiency of the neighborhood from being a clique, cut-vertex flag.
-
-    ``alpha`` counts the non-adjacent pairs among the neighbors of v; it is 0
-    exactly when v is simplicial.
-    """
-    nb = G.adj[v - 1]
-    deg = nb.bit_count()
-    alpha = deg * (deg - 1) // 2 - _edges_within(G.adj, nb)
-    before = len(_component_masks(G.adj, G.full_mask()))
-    after = len(_component_masks(G.adj, G.full_mask() & ~(1 << (v - 1))))
-    return VertexStats(
-        vertex=v,
-        degree=deg,
-        alpha=alpha,
-        simplicial=(alpha == 0),
-        cut_vertex=(after > before),
+def cut_vertices(G: Graph) -> tuple[int, ...]:
+    """The vertices whose removal raises the component count."""
+    full = G.full_mask()
+    before = len(_component_masks(G.adj, full))
+    return tuple(
+        v
+        for v in range(1, G.n + 1)
+        if len(_component_masks(G.adj, full & ~(1 << (v - 1)))) > before
     )
 
 

@@ -11,11 +11,12 @@ Monagan and Pearce, CASC 2007).  Every variable owns an 8-bit field, 7 value
 bits under one guard bit, and variable 0 (t when present, then x_1.., y_1..)
 sits in the most significant field.  So lex comparison is integer
 comparison, multiplication and division are addition and subtraction, and
-divisibility and lcm are a few operations on the guard bits; degrevlex goes
-through an integer sort key.  An exponent above 127 does not fit its field:
-building or creating such a monomial raises ResourceBudgetError, it never
-wraps.  The public interface still speaks exponent tuples: the constructor
-takes {exponent tuple: coefficient} and ``lt()`` returns an exponent tuple.
+divisibility and lcm are a few operations on the guard bits.  Lex is the
+only order: every check here compares against the lex degeneration.  An
+exponent above 127 does not fit its field: building or creating such a
+monomial raises ResourceBudgetError, it never wraps.  The public interface
+still speaks exponent tuples: the constructor takes {exponent tuple:
+coefficient} and ``lt()`` returns an exponent tuple.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 from .degeneration import colon_generators, initial_ideal
 from .errors import ResourceBudgetError
-from .graphs import Graph, restriction, vertex_stats, ohtani_completion, edge_completion, toggle_edge
+from .graphs import Graph, delete_edge, edge_completion, ohtani_completion, restriction
 from .primes import CutSet, cut_sets, minimal_primes
 
 MAX_EFFECTIVE_VARS = 11
@@ -36,34 +37,24 @@ MAX_RUN_DEGREE = 24
 MAX_PAIRS = 60_000
 MAX_BASIS = 400
 
-LEX_XY = "lexxy"
-DEGREVLEX = "degrevlex"
-
 _FIELD_BITS = 8
 _MAX_EXPONENT = 0x7F  # value bits of a field; bit 7 is its guard
 
 
 @dataclass(frozen=True)
 class PolyContext:
-    """Variable layout [t?] x_1..x_n y_1..y_n with t (when present) greatest.
+    """Variable layout [t?] x_1..x_n y_1..y_n with t (when present) greatest,
+    ordered lex, so a packed monomial is its own sort key.
 
-    ``_guard`` has the guard bit of every field set; ``_key`` is None for
-    lex, where a packed monomial is its own sort key, and the integer
-    degrevlex key otherwise.
+    ``_guard`` has the guard bit of every field set.
     """
 
     n: int
-    order: str = LEX_XY
     aux: bool = False
 
     def __post_init__(self):
-        if self.order not in (LEX_XY, DEGREVLEX):
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.aux and self.order != LEX_XY:
-            raise ValueError("the auxiliary elimination variable needs the lex order")
         guard = int.from_bytes(bytes([_MAX_EXPONENT + 1]) * self.nvars, "big")
         object.__setattr__(self, "_guard", guard)
-        object.__setattr__(self, "_key", None if self.order == LEX_XY else self._degrevlex_key)
 
     @property
     def nvars(self) -> int:
@@ -90,14 +81,6 @@ class PolyContext:
 
     def _unpack(self, m: int) -> tuple[int, ...]:
         return tuple(m.to_bytes(self.nvars, "big"))
-
-    def _degrevlex_key(self, m: int) -> int:
-        """Degrevlex as an integer: total degree first; on a tie the smaller
-        exponent at the last differing variable wins.  The fields read with
-        variable 0 least significant compare that variable first, so they
-        are subtracted from the degree, which sits above them."""
-        b = m.to_bytes(self.nvars, "big")
-        return (sum(b) << (_FIELD_BITS * len(b))) - int.from_bytes(b, "little")
 
 
 def _overflow() -> ResourceBudgetError:
@@ -148,10 +131,6 @@ class Polynomial:
 
     # builders -------------------------------------------------------------
     @classmethod
-    def zero(cls, ctx):
-        return cls(ctx)
-
-    @classmethod
     def variable(cls, ctx, index, coeff=1):
         exps = [0] * ctx.nvars
         exps[index] = 1
@@ -168,8 +147,7 @@ class Polynomial:
     def _lead(self) -> tuple[int, Fraction]:
         """Packed lead monomial and its coefficient."""
         if self._lt is None:
-            key = self.ctx._key
-            m = max(self.terms) if key is None else max(self.terms, key=key)
+            m = max(self.terms)
             self._lt = (m, self.terms[m])
         return self._lt
 
@@ -256,7 +234,7 @@ class Polynomial:
         ctx = self.ctx
         names = ctx.var_names()
         parts = []
-        for m in sorted(self.terms, key=ctx._key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             body = "*".join(
                 f"{names[i]}^{e}" if e > 1 else names[i]
@@ -284,13 +262,12 @@ class Ideal:
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Full remainder of f modulo a list of monic polynomials."""
     ctx = f.ctx
-    key = ctx._key
     guard = ctx._guard
     reducers = [g._reducer() for g in basis]
     work = dict(f.terms)
     out: dict = {}
     while work:
-        m = max(work) if key is None else max(work, key=key)
+        m = max(work)
         c = work.pop(m)
         top = m | guard
         for lead, tail in reducers:
@@ -330,12 +307,10 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
             raise ResourceBudgetError(
                 f"generator degree {g.degree()} exceeds budget {MAX_INPUT_DEGREE}"
             )
-    key = ctx._key
     guard = ctx._guard
 
-    def lead_key(g: Polynomial):
-        m = g._lead()[0]
-        return m if key is None else key(m)
+    def lead(g: Polynomial) -> int:
+        return g._lead()[0]
 
     basis: list[Polynomial] = []
     for g in I.gens:
@@ -350,7 +325,7 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
         lj = leads[j]
         for i in range(j):
             lcm = _lcm(leads[i], lj, guard)
-            heappush(heap, (lcm if key is None else key(lcm), lcm, i, j))
+            heappush(heap, (lcm, i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -358,7 +333,7 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
 
     processed = 0
     while heap:
-        _, lcm, i, j = heappop(heap)
+        lcm, i, j = heappop(heap)
         pending.discard((i, j))
         processed += 1
         if processed > MAX_PAIRS:
@@ -392,7 +367,7 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
 
     # minimalize: keep only leads not divisible by another kept lead
     minimal: list[Polynomial] = []
-    for f in sorted(basis, key=lead_key):
+    for f in sorted(basis, key=lead):
         lf = f._lead()[0]
         if not any(_divides(g._lead()[0], lf, guard) for g in minimal):
             minimal.append(f)
@@ -406,7 +381,7 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
             if r.terms != f.terms:
                 minimal[idx] = r.monic()
                 changed = True
-    minimal.sort(key=lead_key, reverse=True)
+    minimal.sort(key=lead, reverse=True)
     # self-check: every S-polynomial of the final basis reduces to zero
     for i in range(len(minimal)):
         li = minimal[i]._lead()[0]
@@ -448,7 +423,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("ideals live in different contexts")
     if ctx.aux:
         raise ValueError("nested elimination not supported")
-    actx = PolyContext(ctx.n, LEX_XY, aux=True)
+    actx = PolyContext(ctx.n, aux=True)
     t = Polynomial.variable(actx, 0)
     one = Polynomial.constant(actx, 1)
     gens = [t * _lift(g, actx) for g in I.gens]
@@ -461,13 +436,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     ctx = f.ctx
-    key = ctx._key
     guard = ctx._guard
     glt, glc = g._lead()
     work = dict(f.terms)
     out: dict = {}
     while work:
-        m = max(work) if key is None else max(work, key=key)
+        m = max(work)
         c = work.pop(m)
         if not _divides(glt, m, guard):
             raise ArithmeticError("division is not exact")
@@ -517,14 +491,15 @@ def binomial_edge_ideal(G: Graph, ctx: Optional[PolyContext] = None) -> Ideal:
     return Ideal(ctx, [edge_binomial(ctx, a, b) for a, b in G.edges()])
 
 
+def _slot_exponents(ctx: PolyContext, mask: int) -> tuple[int, ...]:
+    """Exponents of a mask on the 2n slots of the degeneration module: slot k
+    is variable ``ctx.x(1) + k``."""
+    return (0,) * ctx.x(1) + tuple(mask >> k & 1 for k in range(2 * ctx.n))
+
+
 def monomial_polynomial(ctx: PolyContext, mask: int) -> Polynomial:
     """A squarefree monomial on the 2n slot layout of the degeneration module."""
-    exps = [0] * ctx.nvars
-    for k in range(2 * ctx.n):
-        if mask >> k & 1:
-            v = k + 1 if k < ctx.n else k - ctx.n + 1
-            exps[ctx.x(v) if k < ctx.n else ctx.y(v)] = 1
-    return Polynomial(ctx, {tuple(exps): Fraction(1)})
+    return Polynomial(ctx, {_slot_exponents(ctx, mask): 1})
 
 
 def prime_component_ideal(
@@ -572,7 +547,7 @@ def verify_colon_theorem(H: Graph, e) -> bool:
     if not H.has_edge(a, b):
         raise ValueError("e must be an edge of H")
     ctx = PolyContext(H.n)
-    h_minus = toggle_edge(H, e, "delete")
+    h_minus = delete_edge(H, e)
     lhs = ideal_colon(binomial_edge_ideal(h_minus, ctx), edge_binomial(ctx, a, b))
     completed = edge_completion(h_minus, e)
     mono = [
@@ -599,26 +574,13 @@ def verify_ohtani(G: Graph, v: int) -> bool:
 
 
 def verify_initial_ideal(G: Graph) -> bool:
-    """Lex lead terms of the reduced basis match the path-indexed monomials."""
+    """Lex lead terms of the reduced basis match the path-indexed monomials.
+
+    A non-squarefree lead fails, since it equals no squarefree image.
+    """
     _budget_n(G, 5, "initial ideal check")
-    gb = binomial_edge_ideal(G).groebner()
     ctx = PolyContext(G.n)
-    leads = set()
-    for p in gb:
-        m, _ = p.lt()
-        mask = 0
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if e != 1:
-                return False  # a non-squarefree lead cannot match
-            v = i + 1 if i < ctx.n else i - ctx.n + 1
-            mask |= 1 << (v - 1) if i < ctx.n else 1 << (ctx.n + v - 1)
-        leads.add(mask)
-    return leads == set(initial_ideal(G).min_gens)
-
-
-def cut_vertices(G: Graph) -> tuple[int, ...]:
-    return tuple(
-        v for v in range(1, G.n + 1) if vertex_stats(G, v).cut_vertex
-    )
+    gb = binomial_edge_ideal(G, ctx).groebner()
+    return {p.lt()[0] for p in gb} == {
+        _slot_exponents(ctx, m) for m in initial_ideal(G).min_gens
+    }

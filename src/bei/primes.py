@@ -31,7 +31,6 @@ class MinimalPrime:
 @dataclass(frozen=True)
 class DecompositionSummary:
     primes: tuple[MinimalPrime, ...]
-    height_ideal: int
     dim_quotient: int
     unmixed: bool
 
@@ -71,11 +70,9 @@ def minimal_primes(G: Graph) -> DecompositionSummary:
         MinimalPrime(cs, G.n - cs.c + cs.mask.bit_count()) for cs in cut_sets(G)
     )
     heights = {p.height for p in primes}
-    height_ideal = min(heights)
     return DecompositionSummary(
         primes=primes,
-        height_ideal=height_ideal,
-        dim_quotient=2 * G.n - height_ideal,
+        dim_quotient=2 * G.n - min(heights),
         unmixed=len(heights) == 1,
     )
 

@@ -20,13 +20,13 @@ from bei.graphs import (
     build_graph,
     canonical_form,
     connected_components,
+    cut_vertices,
     enumerate_connected,
     induced_on,
     is_connected,
     is_decomposable,
 )
 from bei.oracle import (
-    cut_vertices,
     verify_colon_theorem,
     verify_initial_ideal,
     verify_ohtani,

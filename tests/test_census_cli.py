@@ -328,6 +328,9 @@ def test_cli_census_and_verify(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "8"])
     assert res.exit_code == 3 and "census tier" in res.output
+    # the oracle checks nothing above n = 5, so it must not report a higher tier
+    res = runner.invoke(main, ["verify", "--theorem", "colon-oracle", "--max-n", "9"])
+    assert res.exit_code == 3 and "oracle campaign tier" in res.output
     for env_jobs in ("many", "0", "-4"):
         argv = ["census", "--max-n", "3", "--out", str(out)]
         res = runner.invoke(main, argv, env={"BEI_JOBS": env_jobs})
@@ -373,6 +376,12 @@ def test_cli_oracle_fixtures(tmp_path, monkeypatch):
         main, ["oracle", "--check", "colon", "--max-n", "3", "--out", str(missing)]
     )
     assert res.exit_code == 2 and "does not exist" in res.output
+    over = tmp_path / "over.jsonl"
+    res = runner.invoke(
+        main, ["oracle", "--check", "colon", "--max-n", "30", "--out", str(over)]
+    )
+    assert res.exit_code == 3 and "oracle campaign tier" in res.output
+    assert not over.exists()
 
     # serialization failing partway leaves the earlier file whole, and no temp file
     before = fx.read_bytes()

@@ -19,7 +19,6 @@ def test_maximal_cliques_examples():
     assert s.count == 3 and s.dim == 1
     s = maximal_cliques(DIAMOND)
     assert s.maximal_cliques == ((1, 2, 3), (2, 3, 4)) and s.count == 2 and s.dim == 2
-    assert s.omega == 3
 
 
 def test_clique_complex_facets():
@@ -103,8 +102,7 @@ def test_dim_plus_one_is_max_clique():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             s = maximal_cliques(g)
-            assert s.dim + 1 == s.omega
-            assert all(len(w) <= s.dim + 1 for w in s.maximal_cliques)
+            assert max(len(w) for w in s.maximal_cliques) == s.dim + 1
 
 
 def test_codim1_examples():

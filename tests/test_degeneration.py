@@ -31,6 +31,7 @@ from bei.graphs import (
     enumerate_connected,
     induced_on,
     is_decomposable,
+    mask_to_labels,
 )
 
 P3 = build_graph(3, [(1, 2), (2, 3)])
@@ -70,7 +71,8 @@ def test_admissible_path_u_factor():
     long = [p for p in admissible_paths(g) if p.path.inner]
     assert len(long) == 1
     assert long[0].path.vertices == (2, 1, 3)
-    assert long[0].u_mask == mask(3, ys=[1])
+    # x_2 y_3 times the u-factor y_1 of the inner vertex 1 < 2
+    assert long[0].lead == mask(3, [2], [1, 3])
 
 
 def test_initial_ideal_examples():
@@ -116,11 +118,11 @@ def test_monomial_ideal_minimalizes():
 def test_stanley_reisner_examples():
     I = monomial_ideal(4, [mask(2, [1], [2])])  # x1*y2 on slots x1,x2,y1,y2
     sr = stanley_reisner(I)
-    assert sr.facet_labels() == ((1, 2, 3), (2, 3, 4))
+    assert tuple(mask_to_labels(f) for f in sr.facets) == ((1, 2, 3), (2, 3, 4))
     zero = monomial_ideal(4, [])
     assert stanley_reisner(zero).facets == (0b1111,)
     I = monomial_ideal(4, [mask(2, [1]), mask(2, ys=[1])])  # (x1, y1)
-    assert stanley_reisner(I).facet_labels() == ((2, 4),)
+    assert tuple(mask_to_labels(f) for f in stanley_reisner(I).facets) == ((2, 4),)
 
 
 def test_reduced_homology_examples():
@@ -402,7 +404,9 @@ def test_quotient_dimension_matches_stanley_reisner():
     for n in range(2, 6):
         for g in enumerate_connected(n):
             sr = stanley_reisner(initial_ideal(g))
-            assert minimal_primes(g).dim_quotient == sr.dim + 1
+            # dim + 1 of the Stanley-Reisner complex is its largest facet size
+            largest = max(f.bit_count() for f in sr.facets)
+            assert minimal_primes(g).dim_quotient == largest
 
 
 def test_tier_errors():

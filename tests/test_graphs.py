@@ -9,6 +9,8 @@ from bei.graphs import (
     build_graph,
     canonical_form,
     connected_components,
+    cut_vertices,
+    delete_edge,
     edge_completion,
     enumerate_connected,
     induced_on,
@@ -18,8 +20,6 @@ from bei.graphs import (
     ohtani_completion,
     restriction,
     simple_paths,
-    toggle_edge,
-    vertex_stats,
 )
 from bei.errors import TierExceededError
 
@@ -78,41 +78,47 @@ def test_restriction():
     # composition with disjoint removals
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     once = restriction(g, [2])
-    twice = restriction(once.graph, [once.new_label(4)])
+    twice = restriction(once.graph, [once.labels.index(4) + 1])
     direct = restriction(g, [2, 4])
     assert twice.graph == direct.graph
     assert tuple(once.labels[v - 1] for v in twice.labels) == direct.labels
 
 
-def test_toggle_edge():
-    assert toggle_edge(P3, (2, 3), "delete").edges() == ((1, 2),)
-    assert toggle_edge(P3, (1, 3), "add") == K3
-    relabeled = toggle_edge(K3, (1, 2), "delete")
+def test_delete_edge():
+    assert delete_edge(P3, (2, 3)).edges() == ((1, 2),)
+    relabeled = delete_edge(K3, (1, 2))
     assert relabeled.edges() == ((1, 3), (2, 3))
-    with pytest.raises(ValueError):
-        toggle_edge(P3, (1, 2), "add")
-    with pytest.raises(ValueError):
-        toggle_edge(P3, (1, 3), "delete")
+    for bad in ((1, 3), (2, 2), (1, 4)):  # absent, a loop, out of range
+        with pytest.raises(ValueError):
+            delete_edge(P3, bad)
 
 
-def test_vertex_stats_examples():
-    s = vertex_stats(K3, 1)
-    assert (s.degree, s.alpha, s.simplicial) == (2, 0, True)
-    s = vertex_stats(STAR, 1)
-    assert (s.degree, s.alpha, s.simplicial, s.cut_vertex) == (3, 3, False, True)
-    assert vertex_stats(DIAMOND, 2).alpha == 1
-    # isolated vertex: trivially simplicial, never a cut vertex
-    s = vertex_stats(build_graph(2, []), 1)
-    assert s.simplicial and not s.cut_vertex
+def _reachable_avoiding(g, start, banned):
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w != banned and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
-def test_alpha_iff_simplicial_enumerated():
-    for n in range(1, 6):
+def test_cut_vertices_match_brute_force():
+    # an isolated vertex is never a cut vertex; the centre of a star is
+    assert cut_vertices(build_graph(2, [])) == ()
+    assert cut_vertices(STAR) == (1,)
+    assert cut_vertices(build_graph(5, [(1, 2), (2, 3), (4, 5)])) == (2,)
+    for n in range(1, 7):
         for g in enumerate_connected(n):
-            for v in range(1, n + 1):
-                s = vertex_stats(g, v)
-                assert (s.alpha == 0) == s.simplicial
-                assert 0 <= s.alpha <= s.degree * (s.degree - 1) // 2
+            # v cuts G when the other vertices no longer reach each other
+            expected = tuple(
+                v
+                for v in range(1, n + 1)
+                if n > 1
+                and len(_reachable_avoiding(g, 1 if v != 1 else 2, v)) < n - 1
+            )
+            assert cut_vertices(g) == expected
 
 
 def test_completions():
@@ -139,7 +145,7 @@ def test_completions_only_add_and_idempotent(g, data):
     assert ohtani_completion(gv, v) == gv
     if g.n >= 2:
         w = data.draw(st.integers(min_value=1, max_value=g.n).filter(lambda x: x != v))
-        base = toggle_edge(g, (v, w), "delete") if g.has_edge(v, w) else g
+        base = delete_edge(g, (v, w)) if g.has_edge(v, w) else g
         # idempotence needs the defining domain: (v, w) not an edge of the input
         # (an existing edge links the two neighborhoods, so one pass feeds the next)
         ge = edge_completion(base, (v, w))
@@ -204,7 +210,8 @@ def test_decomposable_witness_is_simplicial_in_both_parts():
             assert set(p1.labels) | set(p2.labels) == set(range(1, n + 1))
             for part in (p1, p2):
                 assert part.graph.n >= 2
-                assert vertex_stats(part.graph, part.new_label(v)).simplicial
+                nb = part.graph.neighbors(part.labels.index(v) + 1)
+                assert all(part.graph.has_edge(a, b) for a, b in combinations(nb, 2))
 
 
 def test_is_bipartite():
