@@ -250,7 +250,6 @@ def run_census(
         "max_n": max_n,
         "count": len(ordered),
         "sha256": hashlib.sha256(data).hexdigest(),
-        "keys": [r.graph6 for r in ordered],
     }
     _replace_atomically(out_path, data)
     _replace_atomically(idx_path, json.dumps(index).encode("utf-8"))

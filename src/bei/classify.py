@@ -17,6 +17,7 @@ from typing import Optional
 from .cliques import is_chordal
 from .degeneration import InvariantRecord, invariants
 from .errors import RouteDisagreementError
+from .graph6 import emit_graph6
 from .graphs import Graph, connected_components, induced_on, is_connected
 
 PATH = "path"
@@ -164,7 +165,8 @@ def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
         verdicts.append(chordal_licci(G, rec, chordal))
     if len(set(verdicts)) != 1:
         raise RouteDisagreementError(
-            f"licci routes disagree on {G}: {dict(zip(routes, verdicts))}"
+            f"licci routes disagree on {emit_graph6(G).decode('ascii')}: "
+            f"{dict(zip(routes, verdicts))}"
         )
     return CombinedVerdict(
         licci=verdicts[0],

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -26,9 +27,17 @@ from .errors import ResourceBudgetError, RouteDisagreementError, TierExceededErr
 from .graph6 import parse_edge_list, parse_graph6
 
 
-def _fail_budget(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(3)
+@contextmanager
+def _exit_codes():
+    """Map tier and budget errors to exit 3 and a route disagreement to exit 1."""
+    try:
+        yield
+    except (TierExceededError, ResourceBudgetError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
+    except RouteDisagreementError as exc:
+        click.echo(f"ROUTE DISAGREEMENT: {exc}", err=True)
+        sys.exit(1)
 
 
 def _fail_vacuous(max_n: int) -> None:
@@ -77,14 +86,8 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
         raise click.UsageError(str(exc)) from None
     if not G.edge_count():
         raise click.UsageError("edgeless graph: its binomial edge ideal is zero")
-    try:
+    with _exit_codes():
         record = analyze_graph(G, best_effort)
-    except (TierExceededError, ResourceBudgetError) as exc:
-        _fail_budget(exc)
-        return
-    except RouteDisagreementError as exc:
-        click.echo(f"ROUTE DISAGREEMENT: {exc}", err=True)
-        sys.exit(1)
     if as_json:
         click.echo(record.to_json())
     else:
@@ -104,33 +107,24 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
 def census_cmd(max_n, out_path, jobs, best_effort) -> None:
     """All connected classes with edges up to --max-n, as sorted JSONL."""
     jobs = _jobs(jobs)
-    try:
+    with _exit_codes():
         records = run_census(max_n, out_path, jobs, best_effort)
-    except (TierExceededError, ResourceBudgetError) as exc:
-        _fail_budget(exc)
-        return
     if not records:
         _fail_vacuous(max_n)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
 @main.command("verify")
-@click.option("--theorem", "theorem_id", required=True)
+@click.option("--theorem", "theorem_id", required=True,
+              type=click.Choice(sorted(THEOREMS)))
 @click.option("--max-n", type=int, required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
     """Exhaustive sweep of one statement over its graph class."""
-    if theorem_id not in THEOREMS:
-        raise click.UsageError(
-            f"unknown theorem {theorem_id!r}; choose from: " + ", ".join(sorted(THEOREMS))
-        )
     jobs = _jobs(jobs)
-    try:
+    with _exit_codes():
         report = run_verification(theorem_id, max_n, jobs)
-    except (TierExceededError, ResourceBudgetError) as exc:
-        _fail_budget(exc)
-        return
     if as_json:
         click.echo(json.dumps(report.to_json()))
     else:
@@ -154,11 +148,8 @@ def verify_cmd(theorem_id, max_n, jobs, as_json) -> None:
               help="write {graph6, labeling, check, ok} JSONL fixtures here")
 def oracle_cmd(check, max_n, out_path) -> None:
     """Symbolic certification campaign over all labeled graphs in the tier."""
-    try:
+    with _exit_codes():
         instances, violations, fixtures = _oracle_campaign(check, max_n)
-    except (TierExceededError, ResourceBudgetError) as exc:
-        _fail_budget(exc)
-        return
     if not instances:
         _fail_vacuous(max_n)
     if out_path:

@@ -9,23 +9,22 @@ Graded Betti numbers of a squarefree monomial quotient are computed from
 reduced homology of induced subcomplexes of the Stanley-Reisner complex
 (Hochster's formula).  Only the subsets that are unions of generator supports
 can contribute: any other subset has a vertex in no contained generator, and
-coning over that vertex kills all reduced homology.  Subsets additionally
-factor into a join over the connected blocks of their generators, so each
-block's homology is computed once and combined.
+coning over that vertex kills all reduced homology.
 
-A block's homology is read off a relative chain complex instead of the full
-face table.  For any vertex v of a complex D, the star of v is a cone, so the
-long exact sequence of the pair gives H~(D) = H(D, star v), and the faces of D
-outside star v are exactly the faces F with v not in F and F + v a non-face,
-i.e. the chain groups of (del v, link v).  For a complex given by minimal
-non-faces these are the faces of D avoiding v that contain g - v for some
-generator g through v; they are enumerated directly, for the v that lies in
-the fewest generators.  The boundary map is the ordinary one with the faces
-of star v dropped, so the same exact rank routine serves the absolute and the
-relative case.  This is one step of an element matching (Jonsson, Simplicial
-Complexes of Graphs, LNM 1928) or a discrete Morse matching (Forman, 1998);
-the isomorphism holds over the integers, and all ranks are over the
-rationals via integer elimination.  No floating point is used anywhere.
+The homology of each such union is read off a relative chain complex instead
+of the full face table.  For any vertex v of a complex D, the star of v is a
+cone, so the long exact sequence of the pair gives H~(D) = H(D, star v), and
+the faces of D outside star v are exactly the faces F with v not in F and
+F + v a non-face, i.e. the chain groups of (del v, link v).  For a complex
+given by minimal non-faces these are the faces of D avoiding v that contain
+g - v for some generator g through v; they are enumerated directly, for the v
+that lies in the fewest generators.  The boundary map is the ordinary one with
+the faces of star v dropped, so the same exact rank routine serves the
+absolute and the relative case.  This is one step of an element matching
+(Jonsson, Simplicial Complexes of Graphs, LNM 1928) or a discrete Morse
+matching (Forman, 1998); the isomorphism holds over the integers, and all
+ranks are over the rationals via integer elimination.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -396,11 +395,8 @@ def _covered_unions(gens) -> list[int]:
 _PART_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 
-def _part_homology(mask: int, gens: tuple[int, ...]) -> dict[int, int]:
+def _part_homology(mask: int, gens: list[int]) -> dict[int, int]:
     """Nonzero reduced homology ranks of the complex on ``mask`` avoiding ``gens``."""
-    if len(gens) == 1:
-        # complement of a single minimal non-face: the boundary of a simplex
-        return {gens[0].bit_count() - 2: 1}
     bits = []
     m = mask
     while m:
@@ -426,24 +422,6 @@ def _part_homology(mask: int, gens: tuple[int, ...]) -> dict[int, int]:
     return vec
 
 
-def _blocks(gens_in: list[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """Group generators into connected blocks of overlapping supports."""
-    blocks: list[list] = []  # [mask, [gens]]
-    for g in gens_in:
-        hit = [blk for blk in blocks if blk[0] & g]
-        if not hit:
-            blocks.append([g, [g]])
-        else:
-            merged = hit[0]
-            merged[0] |= g
-            merged[1].append(g)
-            for other in hit[1:]:
-                merged[0] |= other[0]
-                merged[1].extend(other[1])
-                blocks.remove(other)
-    return [(mask, tuple(gs)) for mask, gs in blocks]
-
-
 def _check_betti_tier(n_vars: int, best_effort: bool) -> None:
     if n_vars > 2 * BETTI_MAX_N:
         raise TierExceededError(
@@ -460,33 +438,10 @@ def betti_table(I: SquarefreeMonomialIdeal, best_effort: bool = False) -> BettiT
     """Full graded Betti table of the quotient by a squarefree monomial ideal."""
     _check_betti_tier(I.n_vars, best_effort)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    memo: dict[int, dict[int, int]] = {}
-    gens = list(I.min_gens)
+    gens = I.min_gens
     for W in _covered_unions(gens):
-        gens_w = [g for g in gens if g & ~W == 0]
-        vecs = []
-        zero = False
-        for mask, block_gens in _blocks(gens_w):
-            vec = memo.get(mask)
-            if vec is None:
-                vec = _part_homology(mask, block_gens)
-                memo[mask] = vec
-            if not vec:
-                zero = True
-                break
-            vecs.append(vec)
-        if zero:
-            continue
-        combined = vecs[0]
-        for vec in vecs[1:]:
-            nxt: dict[int, int] = {}
-            for d1, r1 in combined.items():
-                for d2, r2 in vec.items():
-                    d = d1 + d2 + 1
-                    nxt[d] = nxt.get(d, 0) + r1 * r2
-            combined = nxt
         size = W.bit_count()
-        for d, r in combined.items():
+        for d, r in _part_homology(W, [g for g in gens if g & ~W == 0]).items():
             key = (size - d - 1, size)
             entries[key] = entries.get(key, 0) + r
     table = tuple(sorted((i, j, r) for (i, j), r in entries.items()))

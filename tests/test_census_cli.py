@@ -344,6 +344,26 @@ def test_cli_census_and_verify(tmp_path):
         assert res.exit_code == 2 and "--jobs" in res.output
 
 
+def test_cli_route_disagreement_exits_1(tmp_path, monkeypatch):
+    real = classify.licci_by_algebra
+    monkeypatch.setattr(classify, "licci_by_algebra", lambda g, rec: not real(g, rec))
+    runner = CliRunner()
+    out = tmp_path / "c.jsonl"
+    for argv in (
+        ["census", "--max-n", "3", "--out", str(out), "--jobs", "1"],
+        ["verify", "--theorem", "naoki-bound", "--max-n", "3", "--jobs", "1"],
+        ["analyze", "--graph6", "A_"],
+    ):
+        res = runner.invoke(main, argv, catch_exceptions=False)
+        assert res.exit_code == 1
+        lines = [l for l in res.output.splitlines() if l.startswith("ROUTE DISAGREEMENT")]
+        assert len(lines) == 1 and lines[0].startswith(
+            "ROUTE DISAGREEMENT: licci routes disagree on A_: "
+        )
+        assert "Traceback" not in res.output
+    assert not list(tmp_path.iterdir())  # no JSONL, index or temp file
+
+
 def test_cli_no_vacuous_pass(tmp_path):
     runner = CliRunner()
     fx = tmp_path / "fixtures.jsonl"

@@ -171,7 +171,7 @@ def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
     for g in census_graphs(6):
         betti_table(initial_ideal(g))
-    assert len(cache) == 19203
+    assert len(cache) == 19491
     for key, vec in cache.items():
         universe = 0
         for g in key:
@@ -303,6 +303,28 @@ def test_betti_table_against_naive_scan_random_ideals(data):
     )
     I = monomial_ideal(nv, gens)
     assert betti_table(I).entries == naive_betti(I.min_gens, I.n_vars)
+
+
+@st.composite
+def small_ideals(draw):
+    nv = draw(st.integers(min_value=1, max_value=5))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=(1 << nv) - 1), max_size=5))
+    return monomial_ideal(nv, gens)
+
+
+@given(small_ideals(), small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_betti_table_of_disjoint_sum_is_the_convolution(I, J):
+    # S/(I + J) = S/I (x) S/J when I and J use disjoint slots, so the Betti
+    # table of the sum is the (i, j)-convolution of the two tables
+    shifted = [g << I.n_vars for g in J.min_gens]
+    both = betti_table(monomial_ideal(I.n_vars + J.n_vars, I.min_gens + tuple(shifted)))
+    expected = {}
+    for i1, j1, r1 in betti_table(I).entries:
+        for i2, j2, r2 in betti_table(J).entries:
+            key = (i1 + i2, j1 + j2)
+            expected[key] = expected.get(key, 0) + r1 * r2
+    assert both.entries == tuple(sorted((i, j, r) for (i, j), r in expected.items()))
 
 
 def test_first_column_is_generator_degrees():
