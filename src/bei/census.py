@@ -32,7 +32,7 @@ from typing import Optional
 from . import classify
 from .classify import PATH, TRIANGLE_WITH_PATHS, CombinedVerdict, licci_verdict
 from .cliques import codim1_conditions, is_chordal, maximal_cliques
-from .degeneration import invariants
+from .degeneration import betti_table, initial_ideal, invariants
 from .errors import TierExceededError
 from .graph6 import emit_graph6, format_edge_list, parse_graph6
 from .graphs import (
@@ -452,6 +452,16 @@ def _disconnected_licci(g, _):
     return ["shape rule"] if verdict.licci != expected else []
 
 
+def _terai_duality(g, _):
+    """reg and pd of the initial ideal's own Betti table equal the ones that
+    ``invariants`` reads off the Alexander dual's table."""
+    primal = betti_table(initial_ideal(g))
+    dual = invariants(g)
+    if (primal.reg, primal.pd) == (dual.reg, dual.pd):
+        return []
+    return [f"primal reg {primal.reg} pd {primal.pd}, dual reg {dual.reg} pd {dual.pd}"]
+
+
 def _hu_necessary(g, rec):
     """Counted on every class, checked on the licci ones."""
     height = 2 * g.n - rec.dim
@@ -552,6 +562,7 @@ THEOREMS = {
     "bipartite-licci": _sweep(_connected_data, _bipartite_licci),
     "disconnected-licci": _sweep(_all_classes, _disconnected_licci),
     "hu-necessary": _sweep(_connected_data, _hu_necessary),
+    "terai-duality": _sweep(_connected_graphs, _terai_duality),
     **{tid: _oracle_sweep(check) for check, (tid, _, _) in _ORACLE_CHECKS.items()},
 }
 

@@ -9,18 +9,6 @@ from .graphs import Graph, is_connected, mask_to_labels
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet list of a simplicial complex on vertices 1..vertex_count (bitmasks).
-
-    ``facets == (0,)`` encodes the complex whose only face is the empty set;
-    an empty facet tuple encodes the void complex with no faces at all.
-    """
-
-    vertex_count: int
-    facets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CliqueSummary:
     maximal_cliques: tuple[tuple[int, ...], ...]
     count: int

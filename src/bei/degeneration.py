@@ -25,6 +25,16 @@ absolute and the relative case.  This is one step of an element matching
 matching (Forman, 1998); the isomorphism holds over the integers, and all
 ranks are over the rationals via integer elimination.  No floating point is
 used anywhere.
+
+``invariants`` does not scan the initial ideal I itself.  It computes the
+Betti table of the Alexander dual I^v, generated by x^C for each minimal
+transversal C of the generator supports (one per minimal prime of I), and
+reads reg(S/I) = pd(S/I^v) - 1 and pd(S/I) = reg(S/I^v) + 1 (Terai,
+"Alexander duality theorem and Stanley-Reisner rings", RIMS Kokyuroku 1078,
+1999; Eagon-Reiner, J. Pure Appl. Algebra 130, 1998).  The dual has far fewer
+covered unions.  The table of I itself stays available as
+``betti_table(initial_ideal(G))``, which the ``terai-duality`` sweep compares
+against the dual route.
 """
 
 from __future__ import annotations
@@ -33,21 +43,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .cliques import SimplicialComplex
 from .errors import TierExceededError
 from .graphs import (
     Graph,
     VertexPath,
     connected_components,
     induced_on,
-    mask_to_labels,
     simple_paths,
 )
 from .primes import minimal_primes
 
 BETTI_GUARANTEED_N = 6
 BETTI_MAX_N = 8
-HOMOLOGY_MAX_VERTICES = 16
 
 
 def x_slot(n: int, v: int) -> int:
@@ -150,30 +157,7 @@ def colon_generators(H: Graph, e) -> SquarefreeMonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# faces, exact ranks, reduced homology
-
-
-def _faces_by_size(universe: int, gens) -> dict[int, list[int]]:
-    """All subsets of ``universe`` containing no generator, grouped by size."""
-    verts = []
-    m = universe
-    while m:
-        b = m & -m
-        m ^= b
-        verts.append(b.bit_length() - 1)
-    by_v = {v: [g & ~(1 << v) for g in gens if g >> v & 1] for v in verts}
-    faces: dict[int, list[int]] = {0: [0]}
-
-    def rec(start: int, face: int, size: int) -> None:
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            if all(g & ~face for g in by_v[v]):
-                nf = face | 1 << v
-                faces.setdefault(size + 1, []).append(nf)
-                rec(idx + 1, nf, size + 1)
-
-    rec(0, 0, 0)
-    return faces
+# relative faces and exact homology ranks
 
 
 def _relative_faces(universe: int, gens) -> dict[int, list[int]]:
@@ -319,52 +303,6 @@ def _homology_ranks(faces: dict[int, list[int]]) -> dict[int, int]:
     return ranks
 
 
-def reduced_homology(C: SimplicialComplex) -> dict[int, int]:
-    """Exact rational reduced homology ranks for dimensions -1..dim."""
-    if C.vertex_count > HOMOLOGY_MAX_VERTICES:
-        raise TierExceededError(
-            f"homology tier is {HOMOLOGY_MAX_VERTICES} vertices, got {C.vertex_count}"
-        )
-    if not C.facets:
-        return {}
-    all_faces: set[int] = set()
-    for facet in C.facets:
-        sub = facet
-        while True:
-            all_faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & facet
-    faces: dict[int, list[int]] = {}
-    for f in sorted(all_faces):
-        faces.setdefault(f.bit_count(), []).append(f)
-    return _homology_ranks(faces)
-
-
-def stanley_reisner(I: SquarefreeMonomialIdeal) -> SimplicialComplex:
-    """Facets of the complex whose non-faces are the monomials of ``I``."""
-    universe = (1 << I.n_vars) - 1
-    if I.is_zero():
-        return SimplicialComplex(I.n_vars, (universe,))
-    faces = _faces_by_size(universe, I.min_gens)
-    face_set = set()
-    for lst in faces.values():
-        face_set.update(lst)
-    facets = []
-    for f in face_set:
-        outside = universe & ~f
-        maximal = True
-        while outside:
-            b = outside & -outside
-            outside ^= b
-            if (f | b) in face_set:
-                maximal = False
-                break
-        if maximal:
-            facets.append(f)
-    return SimplicialComplex(I.n_vars, tuple(sorted(facets, key=mask_to_labels)))
-
-
 # ---------------------------------------------------------------------------
 # Betti tables via the subset scan
 
@@ -450,6 +388,34 @@ def betti_table(I: SquarefreeMonomialIdeal, best_effort: bool = False) -> BettiT
     return BettiTable(table, reg, pd)
 
 
+def _alexander_dual(I: SquarefreeMonomialIdeal) -> SquarefreeMonomialIdeal:
+    """The Alexander dual of a nonzero ideal: x^C for each minimal transversal C.
+
+    C meets every generator support and no proper subset of C does.  The
+    search branches on the first generator that the partial cover misses,
+    trying its slots in turn; a slot tried in one branch is barred from the
+    later ones, so no cover is reached twice.  ``monomial_ideal`` then drops
+    the covers that are not minimal.
+    """
+    gens = I.min_gens
+    covers: list[int] = []
+
+    def grow(start: int, cover: int, barred: int) -> None:
+        for k in range(start, len(gens)):
+            if not gens[k] & cover:
+                free = gens[k] & ~barred
+                while free:
+                    b = free & -free
+                    free ^= b
+                    grow(k + 1, cover | b, barred)
+                    barred |= b
+                return
+        covers.append(cover)
+
+    grow(0, 0, 0)
+    return monomial_ideal(I.n_vars, covers)
+
+
 @dataclass(frozen=True)
 class InvariantRecord:
     reg: int
@@ -465,9 +431,10 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
     """Regularity, depth, dimension and friends for the edge-minor quotient.
 
     Regularity and projective dimension are computed per connected component
-    from the squarefree initial ideal (the degeneration preserves both) and
-    summed; dimension, unmixedness and the prime count come from the one
-    minimal-prime pass.
+    from the squarefree initial ideal I (the degeneration preserves both) and
+    summed.  Both are read off the Betti table of the Alexander dual:
+    reg(S/I) = pd(S/I^v) - 1 and pd(S/I) = reg(S/I^v) + 1.  Dimension,
+    unmixedness and the prime count come from the one minimal-prime pass.
     """
     if G.n > 12:
         raise TierExceededError(f"invariants tier is n <= 12, got {G.n}")
@@ -477,9 +444,12 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
     for comp in comps:
         sub = induced_on(G, comp).graph
         _check_betti_tier(2 * sub.n, best_effort)
-        bt = betti_table(initial_ideal(sub), best_effort)
-        reg += bt.reg
-        pd += bt.pd
+        I = initial_ideal(sub)
+        if I.is_zero():
+            continue  # an isolated vertex: S/0 has reg 0 and pd 0
+        dual = betti_table(_alexander_dual(I), best_effort)
+        reg += dual.pd - 1
+        pd += dual.reg + 1
     summary = minimal_primes(G)
     dim = summary.dim_quotient
     depth = 2 * G.n - pd

@@ -216,6 +216,7 @@ REGISTRY_CASES = [
     ("disconnected-licci", 5, 17),
     ("disconnected-bound", 5, 47),
     ("hu-necessary", 5, 30),  # every class counts, the licci ones are checked
+    ("terai-duality", 5, 30),
     ("primary-decomposition-oracle", 3, 6),
     ("colon-oracle", 3, 10),
     ("initial-ideal-oracle", 3, 6),
@@ -272,6 +273,22 @@ def test_sweeps_report_violations(monkeypatch):
     assert res.exit_code == 1
     assert "  VIOLATION BW reg 3 > n-dim 2" in res.output.splitlines()
     assert res.output.count("VIOLATION") == 7
+    # the dual's pd off by one: invariants reads every reg one too high, while
+    # the sweep's own primal tables stay right
+    real = degeneration.betti_table
+
+    def pd_off_by_one(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return dataclasses.replace(table, pd=table.pd + 1)
+
+    monkeypatch.setattr(degeneration, "betti_table", pd_off_by_one)
+    rep = run_verification("terai-duality", 3)
+    assert rep.instances == 3
+    assert rep.violations == (
+        {"graph6": "A_", "detail": "primal reg 1 pd 1, dual reg 2 pd 1"},
+        {"graph6": "BW", "detail": "primal reg 2 pd 2, dual reg 3 pd 2"},
+        {"graph6": "Bw", "detail": "primal reg 1 pd 2, dual reg 2 pd 2"},
+    )
 
 
 def test_cli_oracle_reports_violations(tmp_path, monkeypatch):

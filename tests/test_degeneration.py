@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from bei import degeneration
 from bei.census import census_graphs
-from bei.cliques import SimplicialComplex, maximal_cliques
+from bei.cliques import maximal_cliques
 from bei.degeneration import (
-    _faces_by_size,
+    _alexander_dual,
     _homology_ranks,
     _relative_faces,
     admissible_paths,
@@ -19,8 +20,6 @@ from bei.degeneration import (
     initial_ideal,
     invariants,
     monomial_ideal,
-    reduced_homology,
-    stanley_reisner,
     x_slot,
     y_slot,
 )
@@ -33,6 +32,93 @@ from bei.graphs import (
     is_decomposable,
     mask_to_labels,
 )
+
+# --- Hochster references: the full face table of the Stanley-Reisner complex,
+# which the relative kernel and the Betti tables are checked against
+
+HOMOLOGY_MAX_VERTICES = 16
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """Facet list of a simplicial complex on vertices 1..vertex_count (bitmasks).
+
+    ``facets == (0,)`` encodes the complex whose only face is the empty set;
+    an empty facet tuple encodes the void complex with no faces at all.
+    """
+
+    vertex_count: int
+    facets: tuple[int, ...]
+
+
+def faces_by_size(universe: int, gens) -> dict[int, list[int]]:
+    """All subsets of ``universe`` containing no generator, grouped by size."""
+    verts = []
+    m = universe
+    while m:
+        b = m & -m
+        m ^= b
+        verts.append(b.bit_length() - 1)
+    by_v = {v: [g & ~(1 << v) for g in gens if g >> v & 1] for v in verts}
+    faces: dict[int, list[int]] = {0: [0]}
+
+    def rec(start: int, face: int, size: int) -> None:
+        for idx in range(start, len(verts)):
+            v = verts[idx]
+            if all(g & ~face for g in by_v[v]):
+                nf = face | 1 << v
+                faces.setdefault(size + 1, []).append(nf)
+                rec(idx + 1, nf, size + 1)
+
+    rec(0, 0, 0)
+    return faces
+
+
+def reduced_homology(C: SimplicialComplex) -> dict[int, int]:
+    """Exact rational reduced homology ranks for dimensions -1..dim."""
+    if C.vertex_count > HOMOLOGY_MAX_VERTICES:
+        raise TierExceededError(
+            f"homology tier is {HOMOLOGY_MAX_VERTICES} vertices, got {C.vertex_count}"
+        )
+    if not C.facets:
+        return {}
+    all_faces: set[int] = set()
+    for facet in C.facets:
+        sub = facet
+        while True:
+            all_faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & facet
+    faces: dict[int, list[int]] = {}
+    for f in sorted(all_faces):
+        faces.setdefault(f.bit_count(), []).append(f)
+    return _homology_ranks(faces)
+
+
+def stanley_reisner(I) -> SimplicialComplex:
+    """Facets of the complex whose non-faces are the monomials of ``I``."""
+    universe = (1 << I.n_vars) - 1
+    if I.is_zero():
+        return SimplicialComplex(I.n_vars, (universe,))
+    faces = faces_by_size(universe, I.min_gens)
+    face_set = set()
+    for lst in faces.values():
+        face_set.update(lst)
+    facets = []
+    for f in face_set:
+        outside = universe & ~f
+        maximal = True
+        while outside:
+            b = outside & -outside
+            outside ^= b
+            if (f | b) in face_set:
+                maximal = False
+                break
+        if maximal:
+            facets.append(f)
+    return SimplicialComplex(I.n_vars, tuple(sorted(facets, key=mask_to_labels)))
+
 
 P3 = build_graph(3, [(1, 2), (2, 3)])
 K3 = build_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -166,17 +252,22 @@ def nonzero(ranks):
 
 
 def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
-    # every distinct part the n <= 6 census hands to the kernel
+    # every distinct part of the n <= 6 initial ideals' tables, then the new
+    # parts of their Alexander duals' tables up to n = 5 (the full face
+    # tables of the n = 6 dual parts take about 40 s)
     cache = {}
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
     for g in census_graphs(6):
         betti_table(initial_ideal(g))
     assert len(cache) == 19491
+    for g in census_graphs(5):
+        betti_table(_alexander_dual(initial_ideal(g)))
+    assert len(cache) == 19491 + 334
     for key, vec in cache.items():
         universe = 0
         for g in key:
             universe |= g
-        assert vec == nonzero(_homology_ranks(_faces_by_size(universe, key))), key
+        assert vec == nonzero(_homology_ranks(faces_by_size(universe, key))), key
 
 
 @st.composite
@@ -201,7 +292,7 @@ def squarefree_complexes(draw):
 def test_relative_faces_against_full_face_table(case):
     universe, gens = case
     assert nonzero(_homology_ranks(_relative_faces(universe, gens))) == nonzero(
-        _homology_ranks(_faces_by_size(universe, gens))
+        _homology_ranks(faces_by_size(universe, gens))
     )
 
 
@@ -336,6 +427,94 @@ def test_first_column_is_generator_degrees():
             degrees[m.bit_count()] = degrees.get(m.bit_count(), 0) + 1
         got = {j: r for i, j, r in bt.entries if i == 1}
         assert got == degrees
+
+
+# --- graded Euler characteristic: the Taylor complex, no homology at all
+
+
+def taylor_euler(gens) -> dict[int, int]:
+    """Sum of (-1)^|s| over the generator subsets s, by degree of lcm(s).
+
+    One dictionary pass over the generator unions: each generator either
+    stays out of a subset or joins it and flips its sign.  The empty subset
+    gives the 1 in degree 0.
+    """
+    signed = {0: 1}
+    for g in gens:
+        step = dict(signed)
+        for u, c in signed.items():
+            step[u | g] = step.get(u | g, 0) - c
+        signed = step
+    by_degree: dict[int, int] = {}
+    for u, c in signed.items():
+        by_degree[u.bit_count()] = by_degree.get(u.bit_count(), 0) + c
+    return {j: c for j, c in by_degree.items() if c}
+
+
+def betti_euler(table) -> dict[int, int]:
+    """Sum of (-1)^i beta_{i,j} over i, by degree j."""
+    by_degree: dict[int, int] = {}
+    for i, j, r in table.entries:
+        by_degree[j] = by_degree.get(j, 0) + (-1) ** i * r
+    return {j: c for j, c in by_degree.items() if c}
+
+
+def test_betti_tables_match_the_taylor_euler_characteristic():
+    # every n <= 6 table of both routes: the initial ideal's and its dual's
+    for g in census_graphs(6):
+        I = initial_ideal(g)
+        D = _alexander_dual(I)
+        assert betti_euler(betti_table(I)) == taylor_euler(I.min_gens), g
+        assert betti_euler(betti_table(D)) == taylor_euler(D.min_gens), g
+
+
+# --- the Alexander dual route
+
+
+@st.composite
+def nonzero_ideals(draw):
+    nv = draw(st.integers(min_value=1, max_value=8))
+    gens = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << nv) - 1), min_size=1, max_size=6)
+    )
+    return monomial_ideal(nv, gens)
+
+
+def minimal_covers(I) -> list[int]:
+    """Brute force: every slot subset meeting each generator, minimal ones kept."""
+    covers = [c for c in range(1 << I.n_vars) if all(c & g for g in I.min_gens)]
+    return sorted(c for c in covers if not any(d != c and d & ~c == 0 for d in covers))
+
+
+@given(nonzero_ideals())
+@settings(max_examples=150, deadline=None)
+def test_alexander_dual_is_the_minimal_covers(I):
+    D = _alexander_dual(I)
+    assert sorted(D.min_gens) == minimal_covers(I)
+    assert _alexander_dual(D) == I
+
+
+@given(nonzero_ideals())
+@settings(max_examples=60, deadline=None)
+def test_terai_duality_on_random_ideals(I):
+    primal = betti_table(I)
+    dual = betti_table(_alexander_dual(I))
+    assert primal.reg == dual.pd - 1
+    assert primal.pd == dual.reg + 1
+
+
+def test_alexander_dual_edge_cases():
+    # one generator: its dual is the ideal of its variables, a Koszul complex
+    D = _alexander_dual(monomial_ideal(4, [0b0110]))
+    assert D.min_gens == (0b0010, 0b0100)
+    assert betti_table(D).entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
+    # the zero ideal of an isolated vertex would have the unit ideal as dual
+    with pytest.raises(ValueError):
+        _alexander_dual(monomial_ideal(2, []))
+    rec = invariants(build_graph(1, []))
+    assert (rec.reg, rec.pd, rec.depth) == (0, 0, 2)
+    rec = invariants(build_graph(3, [(1, 2)]))  # P2 and an isolated vertex
+    assert (rec.reg, rec.pd, rec.depth) == (1, 1, 5)
 
 
 def test_invariants_pinned_families():

@@ -16,8 +16,6 @@ MODULES = {
     "census", "classify", "cli", "cliques", "degeneration",
     "graph6", "graphs", "oracle", "primes",
 }
-# reference implementations that the Betti tests compare the production kernel against
-TEST_REFERENCES = {"reduced_homology", "stanley_reisner"}
 # class members that nothing in the package reads by attribute, and why each stays
 MEMBER_EXCEPTIONS = {
     "BettiTable.entries": "perfbench/tracer.py reads it",
@@ -81,12 +79,10 @@ def test_every_public_function_has_a_caller_in_the_package():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     assert {module for module, _ in functions} == MODULES
-    assert TEST_REFERENCES <= {node.name for _, node in functions}
     unused = [
         f"{module}.{node.name}"
         for module, node in functions
-        if node.name not in TEST_REFERENCES
-        and not any(is_cli_command(d) for d in node.decorator_list)
+        if not any(is_cli_command(d) for d in node.decorator_list)
         # references inside the function's own body do not count
         and everywhere[node.name] == referenced_names(node)[node.name]
     ]
