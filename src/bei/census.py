@@ -133,7 +133,12 @@ def analyze(G: Graph, best_effort: bool = False) -> CensusRecord:
 
 def _worker(args: tuple[str, bool]) -> str:
     g6, best_effort = args
-    return analyze(parse_graph6(g6.encode("ascii")), best_effort).to_json()
+    try:
+        return analyze(parse_graph6(g6.encode("ascii")), best_effort).to_json()
+    except Exception as exc:
+        # pool.map re-raises the bare exception: name the class, keep the type
+        exc.args = (f"{exc} (class {g6})",) + exc.args[1:]
+        raise
 
 
 def census_graphs(max_n: int, best_effort: bool = False) -> list[Graph]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, MAX_VERTICES, _pack_graph6, _upper_triangle_bits, build_graph
+from .graphs import Graph, MAX_VERTICES, _columns, _pack_graph6, build_graph
 
 
 class Graph6ParseError(ValueError):
@@ -12,7 +12,7 @@ class Graph6ParseError(ValueError):
 
 
 def emit_graph6(G: Graph) -> bytes:
-    return _pack_graph6(G.n, _upper_triangle_bits(G))
+    return _pack_graph6(G.n, _columns(G.adj))
 
 
 def parse_graph6(data: bytes) -> Graph:

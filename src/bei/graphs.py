@@ -3,6 +3,25 @@
 Vertices are labeled 1..n externally and 0..n-1 internally (bit positions).
 All values are immutable; every operation returns fresh objects, so
 everything here is safe to call from parallel workers.
+
+The canonical form of a graph is its least graph6 string over all vertex
+orders.  The graph6 body lists the upper triangle column by column, column
+k being vertex k's adjacency to vertices 0..k-1, so the least string is the
+least column sequence.  One search finds it level by level.  The columns
+still to come depend only on which vertices are unplaced and on each one's
+column to the placed prefix, so orders that reach the same such state have
+the same futures and merge, and ties do not multiply.
+
+Enumeration is orderly generation (Read, Ann. Discrete Math. 2, 1978;
+McKay, J. Algorithms 26, 1998), and it is exact.  Drop the last vertex of a
+canonically labeled graph on n vertices: what is left is canonically
+labeled, since a smaller string for it would, followed by the same last
+column, be a smaller string for the whole.  So every class on n vertices is
+one child of one class on n - 1: the parent with a new last vertex and some
+neighbour set, kept because it is its own least string.  The canonicity
+test is the same search with the child's own columns as the target; it
+stops at the first smaller column.  No class is met twice, so nothing is
+deduplicated.
 """
 
 from __future__ import annotations
@@ -14,7 +33,7 @@ from typing import Optional
 from .errors import TierExceededError
 
 MAX_VERTICES = 62  # graph6 short form limit
-CANONICAL_MAX = 10  # brute-force canonicalization tier
+CANONICAL_MAX = 10  # canonical form tier: the merged-state search stays in milliseconds
 ENUMERATION_MAX = 8
 
 
@@ -301,104 +320,112 @@ def is_bipartite(G: Graph) -> bool:
     return True
 
 
-def _pack_graph6(n: int, bits) -> bytes:
-    """graph6 short form: byte n+63, then 6-bit groups of the given bit list."""
+def _pack_graph6(n: int, cols: list[int]) -> bytes:
+    """graph6 short form: byte n+63, then the bits of the columns in 6-bit groups.
+
+    Column k holds k bits, x(0,k) the high one: the upper triangle column-major.
+    """
     out = bytearray([63 + n])
     group = 0
     filled = 0
-    for bit in bits:
-        group = group << 1 | bit
-        filled += 1
-        if filled == 6:
-            out.append(63 + group)
-            group = 0
-            filled = 0
+    for k, col in enumerate(cols):
+        for s in range(k - 1, -1, -1):
+            group = group << 1 | col >> s & 1
+            filled += 1
+            if filled == 6:
+                out.append(63 + group)
+                group = 0
+                filled = 0
     if filled:
         out.append(63 + (group << (6 - filled)))
     return bytes(out)
 
 
-def _upper_triangle_bits(G: Graph) -> list[int]:
-    """Column-major upper-triangle adjacency bits x(0,1), x(0,2), x(1,2), ..."""
-    bits = []
-    for j in range(1, G.n):
-        col = G.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    return bits
+def _columns(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's column to the vertices before it, vertex 0 the high bit."""
+    cols = []
+    for k, row in enumerate(adj):
+        col = 0
+        for i in range(k):
+            col = col << 1 | row >> i & 1
+        cols.append(col)
+    return cols
+
+
+def _least_columns(
+    adj: tuple[int, ...], target: Optional[list[int]] = None
+) -> Optional[list[int]]:
+    """The columns of the least vertex order; None once an order beats ``target``.
+
+    Level k places the k-th vertex.  A state gives every unplaced vertex its
+    column to the placed prefix and every placed one ``placed``; the columns
+    of one level have equal length, so integer order is string order.  Only
+    states with the least prefix are kept, and equal states reached by
+    different orders merge.  ``target`` is ``_columns(adj)``: the search then
+    stops at the first column below the identity order's.
+    """
+    n = len(adj)
+    placed = 1 << n  # above every column, which has at most n - 1 bits
+    rows = [[row >> w & 1 for w in range(n)] for row in adj]
+    states = {(0,) * n}
+    least = [0]
+    for k in range(1, n):
+        goal = None if target is None else target[k]
+        following = set()
+        for cols in states:
+            for u, c in enumerate(cols):
+                if c == least[-1]:
+                    child = [placed if d == placed else d + d + b for d, b in zip(cols, rows[u])]
+                    child[u] = placed
+                    child = tuple(child)
+                    if goal is not None and min(child) < goal:
+                        return None
+                    following.add(child)
+        states = following
+        # with a target, the identity order is among the states and reaches the goal
+        least.append(min(map(min, states)) if goal is None else goal)
+    return least
 
 
 @lru_cache(maxsize=1 << 17)
 def canonical_form(G: Graph) -> bytes:
     """Minimum graph6 encoding over all vertex permutations.
 
-    Branch-and-bound over permutation prefixes: a prefix is pruned exactly
-    when its bits already exceed the best complete string, so the result is
-    identical to the plain minimum over all n! permutations (cross-checked in
-    the tests).
+    The graph6 body is the column-major upper triangle, so the minimum is
+    the least column sequence, which ``_least_columns`` finds exactly (the
+    tests cross-check it with the plain minimum over all n! permutations).
     """
     n = G.n
     if n > CANONICAL_MAX:
         raise TierExceededError(f"canonical form tier is n <= {CANONICAL_MAX}, got {n}")
-    adj = G.adj
-    if n == 1:
-        return _pack_graph6(1, [])
-    best: Optional[list[int]] = None
-
-    def extend(perm: list[int], used: int, bits: list[int]) -> None:
-        nonlocal best
-        k = len(perm)
-        if k == n:
-            best = bits
-            return
-        cands = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            col = tuple(adj[p] >> v & 1 for p in perm)
-            cands.append((col, v))
-        cands.sort()
-        for col, v in cands:
-            nbits = bits + list(col)
-            if best is not None:
-                prefix = best[: len(nbits)]
-                if nbits > prefix:
-                    break  # candidates are sorted; the rest are no better
-            extend(perm + [v], used | 1 << v, nbits)
-
-    extend([], 0, [])
-    assert best is not None
-    return _pack_graph6(n, best)
-
-
-def canonical_graph(G: Graph) -> Graph:
-    """The canonically labeled representative of G's isomorphism class."""
-    from .graph6 import parse_graph6  # graph6 builds on this module
-
-    return parse_graph6(canonical_form(G))
+    return _pack_graph6(n, _least_columns(G.adj))
 
 
 @lru_cache(maxsize=None)
 def _all_graphs(n: int) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class of all graphs on n vertices."""
+    """One canonically labeled graph per isomorphism class on n vertices, canonical order.
+
+    Each class on n - 1 vertices, in canonical order, gets a new last vertex
+    with each neighbour set, in the order of its column; a child is kept when
+    it is its own least string, so the output is in string order too.
+    """
     if n == 1:
         return (Graph(1, (0,)),)
-    seen: dict[bytes, Graph] = {}
-    for H in _all_graphs(n - 1):
-        base = tuple(H.adj) + (0,)
-        for mask in range(1 << (n - 1)):
-            adj = list(base)
-            adj[n - 1] = mask
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                adj[b.bit_length() - 1] |= 1 << (n - 1)
-            G = Graph(n, tuple(adj))
-            key = canonical_form(G)
-            if key not in seen:
-                seen[key] = canonical_graph(G)
-    return tuple(seen[k] for k in sorted(seen))
+    last = n - 1
+    out = []
+    for H in _all_graphs(last):
+        target = _columns(H.adj) + [0]
+        for col in range(1 << last):
+            # moving the new vertex to place p keeps the columns before p and
+            # makes its own first p bits column p: a cheap, exact rejection
+            if any(col >> (last - p) < target[p] for p in range(1, last)):
+                continue
+            mask = sum(1 << i for i in range(last) if col >> (last - 1 - i) & 1)
+            adj = tuple(row | (mask >> i & 1) << last for i, row in enumerate(H.adj)) + (mask,)
+            target[last] = col
+            if _least_columns(adj, target) is not None:
+                out.append(Graph(n, adj))
+    return tuple(out)
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:

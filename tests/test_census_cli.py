@@ -381,6 +381,30 @@ def test_cli_route_disagreement_exits_1(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())  # no JSONL, index or temp file
 
 
+def test_cli_census_worker_failure_names_the_class(tmp_path, monkeypatch):
+    from bei.errors import ResourceBudgetError, RouteDisagreementError
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)  # --jobs 2 starts a pool of 2
+    real = census.analyze
+    out = tmp_path / "c.jsonl"
+    for error, code, prefix in (
+        (ResourceBudgetError, 3, "error: "),
+        (RouteDisagreementError, 1, "ROUTE DISAGREEMENT: "),
+    ):
+        def planted(g, best_effort=False, error=error):
+            if census.canonical_form(g) == b"C~":  # K4
+                raise error("planted fault")
+            return real(g, best_effort)
+
+        monkeypatch.setattr(census, "analyze", planted)
+        argv = ["census", "--max-n", "4", "--out", str(out), "--jobs", "2"]
+        res = CliRunner().invoke(main, argv, catch_exceptions=False)
+        assert res.exit_code == code
+        assert f"{prefix}planted fault (class C~)" in res.stderr.splitlines()
+        assert "Traceback" not in res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_no_vacuous_pass(tmp_path):
     runner = CliRunner()
     fx = tmp_path / "fixtures.jsonl"

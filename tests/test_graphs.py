@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bei.graph6 import emit_graph6, parse_graph6
 from bei.graphs import (
+    CANONICAL_MAX,
+    _columns,
+    _least_columns,
     build_graph,
     canonical_form,
     connected_components,
@@ -13,6 +17,7 @@ from bei.graphs import (
     delete_edge,
     edge_completion,
     enumerate_connected,
+    enumerate_graphs,
     induced_on,
     is_bipartite,
     is_connected,
@@ -234,18 +239,60 @@ def naive_canonical(g):
     return best
 
 
+def labeled_graphs(n):
+    """Every labeled graph on n vertices (2^(n choose 2) of them)."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for k in range(1 << len(pairs)):
+        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
+
+
+def graph6_bits(form):
+    n = form[0] - 63
+    body = [(byte - 63) >> s & 1 for byte in form[1:] for s in range(5, -1, -1)]
+    return body[: n * (n - 1) // 2]
+
+
 def test_canonical_form_matches_naive_minimum():
-    rng = random.Random(17)
     for n in range(1, 6):
-        for _ in range(10):
-            pairs = list(combinations(range(1, n + 1), 2))
-            g = build_graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            got = canonical_form(g)
-            body = []
-            for byte in got[1:]:
-                v = byte - 63
-                body.extend(v >> s & 1 for s in range(5, -1, -1))
-            assert body[: n * (n - 1) // 2] == naive_canonical(g)
+        for g in labeled_graphs(n):
+            assert graph6_bits(canonical_form(g)) == naive_canonical(g)
+
+
+def test_canonicity_test_matches_canonical_form():
+    # the enumerator keeps a child exactly when it is its own canonical form
+    kept = 0
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            own = _least_columns(g.adj, _columns(g.adj)) is not None
+            assert own == (canonical_form(g) == emit_graph6(g))
+            kept += own
+    assert kept == 1 + 2 + 4 + 11 + 34  # one labeled graph per class
+
+
+def test_canonical_form_is_relabeling_invariant_at_the_tier():
+    n = CANONICAL_MAX
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    graphs = {
+        "empty": build_graph(n, []),
+        "K10": build_graph(n, combinations(range(1, n + 1), 2)),
+        "C10": build_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]),
+        "Petersen": build_graph(n, outer + spokes + inner),
+    }
+    rng = random.Random(10)
+    forms = {}
+    for name, g in graphs.items():
+        form = canonical_form(g)
+        for _ in range(4):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            relabeled = build_graph(n, [(perm[a - 1], perm[b - 1]) for a, b in g.edges()])
+            assert canonical_form(relabeled) == form, name
+        assert canonical_form(parse_graph6(form)) == form  # a fixed point
+        forms[name] = form
+    assert forms["empty"] == b"I" + b"?" * 8
+    assert len(set(forms.values())) == 4
 
 
 def test_canonical_form_examples():
@@ -262,7 +309,9 @@ def test_canonical_form_examples():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_connected(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    # OEIS A000088 (all graphs) and A001349 (connected graphs)
+    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(enumerate_connected(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
     with pytest.raises(TierExceededError):
         enumerate_connected(9)
 
@@ -270,18 +319,13 @@ def test_enumeration_counts():
 def test_enumeration_matches_bruteforce_dedup():
     # independent route: dedup every labeled edge set by canonical form
     for n in range(1, 6):
-        pairs = list(combinations(range(1, n + 1), 2))
-        seen = set()
-        for k in range(1 << len(pairs)):
-            g = build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
-            if is_connected(g):
-                seen.add(canonical_form(g))
+        seen = {canonical_form(g) for g in labeled_graphs(n) if is_connected(g)}
         assert seen == {canonical_form(g) for g in enumerate_connected(n)}
         assert [canonical_form(g) for g in enumerate_connected(n)] == sorted(seen)
 
 
 def test_enumeration_is_canonically_labeled():
-    for n in range(1, 6):
-        for g in enumerate_connected(n):
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert canonical_form(g) == emit_graph6(g)  # each class comes as its own form
             assert g == induced_on(g, range(1, n + 1)).graph  # self-check of labels
-            assert canonical_form(g)[0] == 63 + n
