@@ -184,7 +184,8 @@ def compute_records(
     """Records for every connected class with edges, keyed by canonical graph6."""
     jobs = jobs or default_jobs()
     graphs = census_graphs(max_n, best_effort)
-    keys = [canonical_form(g).decode("ascii") for g in graphs]
+    # each enumerated class comes canonically labeled: its graph6 is its form
+    keys = [emit_graph6(g).decode("ascii") for g in graphs]
     todo = [k for k in keys if not (reuse and k in reuse)]
     lines: dict[str, str] = {k: reuse[k] for k in keys if reuse and k in reuse}
     if todo:
@@ -290,7 +291,7 @@ def _connected_data(max_n: int, jobs) -> list[tuple[Graph, CensusRecord]]:
     """(graph, record) pairs for connected classes with edges."""
     records = compute_records(max_n, jobs)
     graphs = census_graphs(max_n)
-    return [(g, records[canonical_form(g).decode("ascii")]) for g in graphs]
+    return [(g, records[emit_graph6(g).decode("ascii")]) for g in graphs]
 
 
 def _connected_graphs(max_n: int, jobs) -> list[tuple[Graph, None]]:

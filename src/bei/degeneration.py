@@ -26,6 +26,25 @@ matching (Forman, 1998); the isomorphism holds over the integers, and all
 ranks are over the rationals via integer elimination.  No floating point is
 used anywhere.
 
+When v lies in exactly one generator g, the matching goes one step further
+and lists no face.  The relative faces are then F = (g - v) + E, with E a
+face of the complex on W - g (W the union) whose minimal non-faces are the
+minimal sets among h - g, h != g: h lies in F exactly when h - g lies in E,
+since no other generator contains v.  Dropping a vertex of g - v lands in
+link v, which is divided out, so the boundary acts on E alone, and
+(del v, link v) is the link of g - v shifted by |g| - 1:
+H~_d(D) = H~_{d-|g|+1}(link).  If W = g, the link is the complex of the
+empty face and H~_{|g|-2}(D) = 1; if the sets h - g miss a vertex of W - g,
+the link is a cone and D is acyclic.  Otherwise the link is again a part,
+reduced the same way.  Only the parts in which every vertex lies in two or
+more generators reach the relative faces.
+
+The homology of a part depends only on its generator set, since the part's
+vertex set is their union.  The cache therefore keys each part both by its
+generator tuple as given, which a later ideal with the same generators hits
+without any packing, and by its shape, the generators moved to slots
+0..k-1 of their union and sorted, which parts of different ideals share.
+
 ``invariants`` does not scan the initial ideal I itself.  It computes the
 Betti table of the Alexander dual I^v, generated by x^C for each minimal
 transversal C of the generator supports (one per minimal prime of I), and
@@ -40,7 +59,6 @@ against the dual route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .errors import TierExceededError
@@ -92,38 +110,45 @@ class AdmissiblePath:
     lead: int
 
 
-def _inner_minimal(G: Graph, a: int, b: int, inner: tuple[int, ...]) -> bool:
-    """No proper subsequence of the inner vertices, in path order, joins a to b."""
-    s = len(inner)
-    for r in range(s):
-        for picked in combinations(inner, r):
-            seq = (a,) + picked + (b,)
-            if all(G.has_edge(seq[k], seq[k + 1]) for k in range(len(seq) - 1)):
-                return False
-    return True
-
-
 def admissible_paths(G: Graph) -> list[AdmissiblePath]:
     """Paths indexing the reduced lex Groebner basis of the edge-minor ideal.
 
     A path from a to b (a < b) qualifies when every inner vertex lies outside
     the interval [a, b] and no proper ordered subsequence of the inner
-    vertices already joins a to b.
+    vertices already joins a to b.  Such a subsequence exists exactly when
+    the path has a chord, so these are the induced paths from a to b with
+    every inner vertex outside [a, b]: one search per pair extends only to
+    such vertices that no earlier path vertex is adjacent to, and closes the
+    path at the first vertex adjacent to b.
     """
     n = G.n
+    adj = G.adj
     out = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for path in simple_paths(G, a, b):
-                inner = path.inner
-                if any(a < k < b for k in inner):
-                    continue
-                if not _inner_minimal(G, a, b, inner):
-                    continue
-                lead = x_slot(n, a) | y_slot(n, b)
-                for k in inner:
-                    lead |= x_slot(n, k) if k > b else y_slot(n, k)
-                out.append(AdmissiblePath(path, lead))
+    path: list[int] = []  # 0-based vertices from a
+
+    def extend(v: int, barred: int, lead: int, b: int, outside: int) -> None:
+        # barred: the path and every neighbour of a path vertex before v
+        if adj[v] >> b & 1:
+            vertices = tuple(u + 1 for u in path) + (b + 1,)
+            out.append(AdmissiblePath(VertexPath(vertices), lead))
+            return
+        m = adj[v] & outside & ~barred
+        barred |= adj[v]
+        while m:
+            bit = m & -m
+            m ^= bit
+            u = bit.bit_length() - 1
+            slot = x_slot(n, u + 1) if u > b else y_slot(n, u + 1)
+            path.append(u)
+            extend(u, barred, lead | slot, b, outside)
+            path.pop()
+
+    for a in range(n):
+        path.append(a)
+        for b in range(a + 1, n):
+            outside = ~((2 << b) - (1 << a))
+            extend(a, 1 << a, x_slot(n, a + 1) | y_slot(n, b + 1), b, outside)
+        path.pop()
     return out
 
 
@@ -328,36 +353,67 @@ def _covered_unions(gens) -> list[int]:
     return sorted(seen)
 
 
-# shape-keyed homology cache: parts from different subsets and different
-# ideals coincide after compressing their slots, so this hits very often
+# homology cache keyed by generator tuples: a part's homology depends only on
+# its generators, so both the tuple as given and its compressed shape are keys
 _PART_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 
-def _part_homology(mask: int, gens: list[int]) -> dict[int, int]:
-    """Nonzero reduced homology ranks of the complex on ``mask`` avoiding ``gens``."""
-    bits = []
-    m = mask
+def _part_homology(gens: tuple[int, ...]) -> dict[int, int]:
+    """Nonzero reduced homology ranks of the complex on the union of ``gens``
+    whose minimal non-faces are ``gens``."""
+    vec = _PART_CACHE.get(gens)
+    if vec is not None:
+        return vec
+    universe = 0
+    for g in gens:
+        universe |= g
+    pos = {}
+    m = universe
     while m:
         b = m & -m
         m ^= b
-        bits.append(b.bit_length() - 1)
-    pos = {v: i for i, v in enumerate(bits)}
+        pos[b] = 1 << len(pos)
     packed = []
     for g in gens:
         c = 0
-        mm = g
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            c |= 1 << pos[b.bit_length() - 1]
+        while g:
+            b = g & -g
+            g ^= b
+            c |= pos[b]
         packed.append(c)
     key = tuple(sorted(packed))
     vec = _PART_CACHE.get(key)
     if vec is None:
-        ranks = _homology_ranks(_relative_faces((1 << len(bits)) - 1, packed))
-        vec = {d: r for d, r in ranks.items() if r}
+        vec = _shape_homology(key)
         _PART_CACHE[key] = vec
+    _PART_CACHE[gens] = vec
     return vec
+
+
+def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
+    """``_part_homology`` of a shape: the link reduction at a private vertex,
+    else the relative faces."""
+    once = twice = 0
+    for g in gens:
+        twice |= once & g
+        once |= g
+    private = once & ~twice
+    if not private:
+        ranks = _homology_ranks(_relative_faces(once, gens))
+        return {d: r for d, r in ranks.items() if r}
+    v = private & -private
+    g = next(h for h in gens if h & v)
+    shift = g.bit_count() - 1
+    rest = once & ~g
+    if not rest:
+        return {shift - 1: 1}
+    link = monomial_ideal(rest.bit_length(), (h & ~g for h in gens if h != g)).min_gens
+    covered = 0
+    for h in link:
+        covered |= h
+    if covered != rest:
+        return {}  # a cone over a vertex of rest in no generator
+    return {d + shift: r for d, r in _part_homology(link).items()}
 
 
 def _check_betti_tier(n_vars: int, best_effort: bool) -> None:
@@ -379,7 +435,7 @@ def betti_table(I: SquarefreeMonomialIdeal, best_effort: bool = False) -> BettiT
     gens = I.min_gens
     for W in _covered_unions(gens):
         size = W.bit_count()
-        for d, r in _part_homology(W, [g for g in gens if g & ~W == 0]).items():
+        for d, r in _part_homology(tuple(g for g in gens if g & ~W == 0)).items():
             key = (size - d - 1, size)
             entries[key] = entries.get(key, 0) + r
     table = tuple(sorted((i, j, r) for (i, j), r in entries.items()))

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import bei
-from bei import census, classify, cliques, degeneration, primes
+from bei import census, classify, cliques, degeneration, graphs, primes
 from bei.census import (
     PIPELINE_VERSION,
     CensusRecord,
@@ -177,6 +177,24 @@ def test_analyze_computes_each_artifact_once(monkeypatch):
     assert counts["is_chordal"] == classes
     assert counts["licci_by_shape"] == counts["licci_by_algebra"] == classes
     assert counts["chordal_licci"] == sum(is_chordal(g)[0] for g in graphs)
+
+
+def test_compute_records_keys_classes_without_canonical_form(monkeypatch):
+    # enumerated classes come canonically labeled, so only analyze() computes
+    # a canonical form: one per class
+    calls = []
+    original = graphs.canonical_form
+
+    def counted(G):
+        calls.append(G)
+        return original(G)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bei.") and getattr(mod, "canonical_form", None) is original:
+            monkeypatch.setattr(mod, "canonical_form", counted)
+    records = census.compute_records(5, jobs=1)
+    assert len(records) == 30
+    assert len(calls) == 30
 
 
 def test_census_counts():

@@ -2,6 +2,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from bei.cliques import maximal_cliques
 from bei.degeneration import (
     _alexander_dual,
     _homology_ranks,
+    _part_homology,
     _relative_faces,
     admissible_paths,
     betti_table,
@@ -31,6 +33,7 @@ from bei.graphs import (
     induced_on,
     is_decomposable,
     mask_to_labels,
+    simple_paths,
 )
 
 # --- Hochster references: the full face table of the Stanley-Reisner complex,
@@ -161,6 +164,52 @@ def test_admissible_path_u_factor():
     assert long[0].lead == mask(3, [2], [1, 3])
 
 
+def inner_minimal(G, a, b, inner):
+    """No proper subsequence of the inner vertices, in path order, joins a to b."""
+    for r in range(len(inner)):
+        for picked in combinations(inner, r):
+            seq = (a,) + picked + (b,)
+            if all(G.has_edge(seq[k], seq[k + 1]) for k in range(len(seq) - 1)):
+                return False
+    return True
+
+
+def subset_rule_paths(G):
+    """The definition read literally: every simple path from a to b (a < b)
+    whose inner vertices lie outside [a, b] and satisfy ``inner_minimal``,
+    as (vertices, lead) pairs."""
+    n = G.n
+    out = set()
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            for path in simple_paths(G, a, b):
+                inner = path.inner
+                if any(a < k < b for k in inner) or not inner_minimal(G, a, b, inner):
+                    continue
+                lead = x_slot(n, a) | y_slot(n, b)
+                for k in inner:
+                    lead |= x_slot(n, k) if k > b else y_slot(n, k)
+                out.add((path.vertices, lead))
+    return out
+
+
+def labeled_graphs(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for k in range(1 << len(pairs)):
+        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
+
+
+def test_admissible_paths_match_the_subset_rule():
+    # every labeled graph with n <= 5, then every connected class with n <= 7
+    graphs = [g for n in range(1, 6) for g in labeled_graphs(n)]
+    graphs += [g for n in range(6, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024 + 112 + 853
+    for g in graphs:
+        got = [(p.path.vertices, p.lead) for p in admissible_paths(g)]
+        assert len(got) == len(set(got)), g
+        assert set(got) == subset_rule_paths(g), g
+
+
 def test_initial_ideal_examples():
     assert set(initial_ideal(P3).min_gens) == {mask(3, [1], [2]), mask(3, [2], [3])}
     assert set(initial_ideal(K3).min_gens) == {
@@ -251,23 +300,68 @@ def nonzero(ranks):
     return {d: r for d, r in ranks.items() if r}
 
 
+def compressed(gens):
+    """The generators on slots 0..k-1 of their union, in slot order, sorted."""
+    universe = 0
+    for g in gens:
+        universe |= g
+    slots = [b for b in range(universe.bit_length()) if universe >> b & 1]
+    return tuple(
+        sorted(sum(1 << i for i, b in enumerate(slots) if g >> b & 1) for g in gens)
+    )
+
+
+def full_face_homology(gens):
+    universe = 0
+    for g in gens:
+        universe |= g
+    return nonzero(_homology_ranks(faces_by_size(universe, gens)))
+
+
 def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
-    # every distinct part of the n <= 6 initial ideals' tables, then the new
-    # parts of their Alexander duals' tables up to n = 5 (the full face
-    # tables of the n = 6 dual parts take about 40 s)
+    # every part of the n <= 6 initial ideals' tables, then the new parts of
+    # their Alexander duals' tables up to n = 5.  The cache holds each part
+    # under its generator tuple as given and under its compressed shape, and
+    # the private-vertex reduction adds the shapes it recurses into.  Every
+    # key must carry its shape's entry, and every shape is checked against
+    # its full face table.
     cache = {}
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
     for g in census_graphs(6):
         betti_table(initial_ideal(g))
-    assert len(cache) == 19491
+    assert len(cache) == 55923
     for g in census_graphs(5):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(cache) == 19491 + 334
+    assert len(cache) == 55923 + 820
+    shapes = set()
     for key, vec in cache.items():
-        universe = 0
-        for g in key:
-            universe |= g
-        assert vec == nonzero(_homology_ranks(faces_by_size(universe, key))), key
+        shape = compressed(key)
+        assert cache[shape] == vec, key
+        shapes.add(shape)
+    assert len(shapes) == 20673
+    for shape in shapes:
+        assert cache[shape] == full_face_homology(shape), shape
+
+
+def test_unreduced_dual_parts_match_full_face_table_at_n6(monkeypatch):
+    # the n = 6 dual parts in which every vertex lies in two or more
+    # generators reach the relative kernel; all 1124 full face tables take
+    # about 16 s on 2 vCPUs, so a seeded sample of 300 is compared
+    cache = {}
+    monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
+    unreduced = []
+    kernel = degeneration._relative_faces
+
+    def recorded(universe, gens):
+        unreduced.append(tuple(gens))
+        return kernel(universe, gens)
+
+    monkeypatch.setattr(degeneration, "_relative_faces", recorded)
+    for g in census_graphs(6):
+        betti_table(_alexander_dual(initial_ideal(g)))
+    assert len(unreduced) == len(set(unreduced)) == 1124
+    for shape in random.Random(6).sample(unreduced, 300):
+        assert cache[shape] == full_face_homology(shape), shape
 
 
 @st.composite
@@ -294,6 +388,35 @@ def test_relative_faces_against_full_face_table(case):
     assert nonzero(_homology_ranks(_relative_faces(universe, gens))) == nonzero(
         _homology_ranks(faces_by_size(universe, gens))
     )
+
+
+@st.composite
+def generator_sets(draw):
+    """Minimal generators on up to 8 slots, singletons and private slots likely."""
+    nv = draw(st.integers(min_value=1, max_value=8))
+    top = (1 << nv) - 1
+    gens = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=1, max_size=6))
+    gens += draw(
+        st.lists(st.integers(min_value=0, max_value=nv - 1).map(lambda i: 1 << i), max_size=2)
+    )
+    return monomial_ideal(nv, gens).min_gens
+
+
+@given(generator_sets())
+@example((0b1,))  # one singleton: only the empty face, H_{-1} = 1
+@example((0b01, 0b10))  # two singletons, reduced twice
+@example((0b111,))  # the boundary of a triangle: H_1 = 1
+@example((0b0011, 0b0110, 0b1100))  # after reducing at slot 0, {2} cones off slot 3
+@example((0b00011, 0b00110, 0b01100, 0b11000))  # a chain of private vertices
+@example((0b011, 0b110, 0b101))  # no private vertex: the relative kernel
+@example((0b0101, 0b1010, 0b0110, 0b1001))  # a 4-cycle of generators, H_0 = 1
+@settings(max_examples=300, deadline=None)
+def test_part_homology_against_full_face_table(gens):
+    with patch.object(degeneration, "_PART_CACHE", {}):
+        assert _part_homology(gens) == full_face_homology(gens)
+        # the second lookup hits the key as given
+        assert _part_homology(gens) == full_face_homology(gens)
+        assert degeneration._PART_CACHE[gens] is degeneration._PART_CACHE[compressed(gens)]
 
 
 # --- independent Hochster oracle: literal subset scan, dense Fraction ranks
