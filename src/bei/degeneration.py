@@ -36,14 +36,28 @@ link v, which is divided out, so the boundary acts on E alone, and
 H~_d(D) = H~_{d-|g|+1}(link).  If W = g, the link is the complex of the
 empty face and H~_{|g|-2}(D) = 1; if the sets h - g miss a vertex of W - g,
 the link is a cone and D is acyclic.  Otherwise the link is again a part,
-reduced the same way.  Only the parts in which every vertex lies in two or
-more generators reach the relative faces.
+reduced the same way.
+
+When no vertex is private, a vertex u may still be dominated: some vertex
+w != u of W has every generator through w contain u.  Combinatorial
+Alexander duality inside W maps D to K, the union of the simplices on W - g.
+The condition says every facet of K through u contains w, so u is dominated
+by w in K, and K strong-collapses to K - u (Barmak-Minian, Discrete Comput.
+Geom. 47, 2012).  K - u is the dual inside W - u of the complex D' whose
+minimal non-faces are the minimal sets among g - u, and dropping one vertex
+from the ground set shifts the degree of the duality by one:
+H~_d(D) = H~_{d-1}(D').  When u lies in every generator this is the
+suspension.  If those sets miss a vertex of W - u, D' is a cone and D is
+acyclic; otherwise D' is again a part.  Private vertices are tried first, and
+only the parts with neither kind of vertex reach the relative faces.
 
 The homology of a part depends only on its generator set, since the part's
-vertex set is their union.  The cache therefore keys each part both by its
-generator tuple as given, which a later ideal with the same generators hits
-without any packing, and by its shape, the generators moved to slots
-0..k-1 of their union and sorted, which parts of different ideals share.
+vertex set is their union.  The cache therefore keys each part that
+``betti_table`` asks for both by its generator tuple as given, which a later
+ideal with the same generators hits without any packing, and by its shape,
+the generators moved to slots 0..k-1 of their union and sorted, which parts
+of different ideals share.  The links the reductions recurse into are keyed
+by shape only, since only ``betti_table`` repeats a tuple as given.
 
 ``invariants`` does not scan the initial ideal I itself.  It computes the
 Betti table of the Alexander dual I^v, generated by x^C for each minimal
@@ -354,7 +368,8 @@ def _covered_unions(gens) -> list[int]:
 
 
 # homology cache keyed by generator tuples: a part's homology depends only on
-# its generators, so both the tuple as given and its compressed shape are keys
+# its generators, so the tuple as given by ``betti_table`` and its compressed
+# shape are both keys; the links a reduction recurses into are keyed by shape
 _PART_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 
@@ -362,8 +377,14 @@ def _part_homology(gens: tuple[int, ...]) -> dict[int, int]:
     """Nonzero reduced homology ranks of the complex on the union of ``gens``
     whose minimal non-faces are ``gens``."""
     vec = _PART_CACHE.get(gens)
-    if vec is not None:
-        return vec
+    if vec is None:
+        vec = _PART_CACHE[gens] = _link_homology(gens)
+    return vec
+
+
+def _link_homology(gens) -> dict[int, int]:
+    """``_part_homology``, cached under the compressed shape of ``gens`` only:
+    the generators moved to slots 0..k-1 of their union, sorted."""
     universe = 0
     for g in gens:
         universe |= g
@@ -384,36 +405,53 @@ def _part_homology(gens: tuple[int, ...]) -> dict[int, int]:
     key = tuple(sorted(packed))
     vec = _PART_CACHE.get(key)
     if vec is None:
-        vec = _shape_homology(key)
-        _PART_CACHE[key] = vec
-    _PART_CACHE[gens] = vec
+        vec = _PART_CACHE[key] = _shape_homology(key)
     return vec
 
 
 def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
-    """``_part_homology`` of a shape: the link reduction at a private vertex,
-    else the relative faces."""
+    """Homology of a shape: the link reduction at a private vertex, else the
+    removal of a dominated vertex, else the relative faces."""
     once = twice = 0
     for g in gens:
         twice |= once & g
         once |= g
     private = once & ~twice
-    if not private:
-        ranks = _homology_ranks(_relative_faces(once, gens))
-        return {d: r for d, r in ranks.items() if r}
-    v = private & -private
-    g = next(h for h in gens if h & v)
-    shift = g.bit_count() - 1
-    rest = once & ~g
-    if not rest:
-        return {shift - 1: 1}
-    link = monomial_ideal(rest.bit_length(), (h & ~g for h in gens if h != g)).min_gens
+    if private:
+        v = private & -private
+        g = next(h for h in gens if h & v)
+        shift = g.bit_count() - 1
+        rest = once & ~g
+        if not rest:
+            return {shift - 1: 1}
+        return _shifted_link(rest, (h & ~g for h in gens if h != g), shift)
+    m = once
+    while m:
+        w = m & -m
+        m ^= w
+        common = once
+        for g in gens:
+            if g & w:
+                common &= g
+        common ^= w  # the slots u with w in g => u in g
+        if common:
+            u = common & -common
+            return _shifted_link(once ^ u, (g & ~u for g in gens), 1)
+    ranks = _homology_ranks(_relative_faces(once, gens))
+    return {d: r for d, r in ranks.items() if r}
+
+
+def _shifted_link(rest: int, gens, shift: int) -> dict[int, int]:
+    """Homology of the part on ``rest`` whose non-faces are the minimal sets
+    among ``gens``, raised by ``shift`` degrees; none if those sets miss a
+    slot of ``rest``, since the complex is then a cone over that slot."""
+    link = monomial_ideal(rest.bit_length(), gens).min_gens
     covered = 0
     for h in link:
         covered |= h
     if covered != rest:
-        return {}  # a cone over a vertex of rest in no generator
-    return {d + shift: r for d, r in _part_homology(link).items()}
+        return {}
+    return {d + shift: r for d, r in _link_homology(link).items()}
 
 
 def _check_betti_tier(n_vars: int, best_effort: bool) -> None:

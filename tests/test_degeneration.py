@@ -5,7 +5,7 @@ from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bei import degeneration
@@ -322,31 +322,30 @@ def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
     # every part of the n <= 6 initial ideals' tables, then the new parts of
     # their Alexander duals' tables up to n = 5.  The cache holds each part
     # under its generator tuple as given and under its compressed shape, and
-    # the private-vertex reduction adds the shapes it recurses into.  Every
-    # key must carry its shape's entry, and every shape is checked against
-    # its full face table.
+    # the shapes of the links the reductions recurse into.  Every key must
+    # carry its shape's entry, and every shape is checked against its full
+    # face table.
     cache = {}
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
     for g in census_graphs(6):
         betti_table(initial_ideal(g))
-    assert len(cache) == 55923
+    assert len(cache) == 55321
     for g in census_graphs(5):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(cache) == 55923 + 820
+    assert len(cache) == 55321 + 875
     shapes = set()
     for key, vec in cache.items():
         shape = compressed(key)
         assert cache[shape] == vec, key
         shapes.add(shape)
-    assert len(shapes) == 20673
+    assert len(shapes) == 22357
     for shape in shapes:
         assert cache[shape] == full_face_homology(shape), shape
 
 
 def test_unreduced_dual_parts_match_full_face_table_at_n6(monkeypatch):
-    # the n = 6 dual parts in which every vertex lies in two or more
-    # generators reach the relative kernel; all 1124 full face tables take
-    # about 16 s on 2 vCPUs, so a seeded sample of 300 is compared
+    # the n = 6 dual parts with no private vertex and no dominated vertex
+    # reach the relative kernel; each is compared with its full face table
     cache = {}
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
     unreduced = []
@@ -359,8 +358,8 @@ def test_unreduced_dual_parts_match_full_face_table_at_n6(monkeypatch):
     monkeypatch.setattr(degeneration, "_relative_faces", recorded)
     for g in census_graphs(6):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(unreduced) == len(set(unreduced)) == 1124
-    for shape in random.Random(6).sample(unreduced, 300):
+    assert len(unreduced) == len(set(unreduced)) == 99
+    for shape in unreduced:
         assert cache[shape] == full_face_homology(shape), shape
 
 
@@ -402,14 +401,40 @@ def generator_sets(draw):
     return monomial_ideal(nv, gens).min_gens
 
 
-@given(generator_sets())
+@st.composite
+def dual_like_sets(draw):
+    """Minimal generators of size >= 2 on up to 8 slots, each slot of their
+    union in two or more of them, as in the parts of an Alexander dual's table
+    that the private-vertex step leaves to the dominated-vertex step."""
+    nv = draw(st.integers(min_value=3, max_value=8))
+    top = (1 << nv) - 1
+    gens = draw(st.lists(st.integers(min_value=3, max_value=top), min_size=3, max_size=8))
+    while True:
+        gens = monomial_ideal(nv, [g for g in gens if g.bit_count() >= 2]).min_gens
+        once = twice = 0
+        for g in gens:
+            twice |= once & g
+            once |= g
+        if once == twice:
+            break
+        gens = [g & twice for g in gens]
+    assume(gens)
+    return gens
+
+
+@given(generator_sets() | dual_like_sets())
 @example((0b1,))  # one singleton: only the empty face, H_{-1} = 1
 @example((0b01, 0b10))  # two singletons, reduced twice
 @example((0b111,))  # the boundary of a triangle: H_1 = 1
 @example((0b0011, 0b0110, 0b1100))  # after reducing at slot 0, {2} cones off slot 3
 @example((0b00011, 0b00110, 0b01100, 0b11000))  # a chain of private vertices
-@example((0b011, 0b110, 0b101))  # no private vertex: the relative kernel
+@example((0b011, 0b110, 0b101))  # no private or dominated vertex: the relative kernel
 @example((0b0101, 0b1010, 0b0110, 0b1001))  # a 4-cycle of generators, H_0 = 1
+@example((0b0111, 0b1011, 0b1101))  # slot 0 in every generator: a suspension, H_1 = 2
+@example((0b0110, 0b1011, 0b1101))  # slot 3 dominated by slot 0, not in 0b0110
+# removing slot 0 leaves slot 3 in no minimal generator: a cone
+@example((0b000111, 0b010101, 0b011100, 0b100011, 0b110001, 0b111000))
+@example((0b00111, 0b11001, 0b11110))  # dominated slots removed twice in a row
 @settings(max_examples=300, deadline=None)
 def test_part_homology_against_full_face_table(gens):
     with patch.object(degeneration, "_PART_CACHE", {}):
