@@ -1,10 +1,15 @@
 """Desk-scale exact symbolic algebra used to certify the combinatorial modules.
 
-Polynomials carry exact rational coefficients; Buchberger runs with the
-normal selection strategy and both classical skip criteria under hard
-budgets (variable count, pair count, degree) that raise explicit resource
-errors instead of running away.  Intersections and colons go through one
-auxiliary elimination variable ranked above everything else.
+Polynomials carry exact rational coefficients: a plain ``int`` while the
+value is integral, a ``Fraction`` only after a division leaves a remainder
+(one helper, ``_quotient``, makes every division), and never a float.  The
+reduced bases of binomial edge ideals, and of the intersections built to
+certify them, have coefficients ±1 (tested for every labeled connected
+graph on n <= 4 vertices), so there no Fraction is ever made.  Buchberger
+runs with the normal selection strategy and both classical skip criteria
+under hard budgets (variable count, pair count, degree) that raise explicit
+resource errors instead of running away.  Intersections and colons go through
+one auxiliary elimination variable ranked above everything else.
 
 Monomials are packed into one integer each (the packed exponent vectors of
 Monagan and Pearce, CASC 2007).  Every variable owns an 8-bit field, 7 value
@@ -94,6 +99,18 @@ def _divides(a: int, b: int, guard: int) -> bool:
     return ((b | guard) - a) & guard == guard
 
 
+def _quotient(a, b):
+    """a / b exactly: the int a // b when b divides a, else a Fraction,
+    normalised back to int when its denominator is 1.  Never ``/`` on two
+    ints, which would return a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _lcm(a: int, b: int, guard: int) -> int:
     """Fieldwise max: the guard bits of (a | guard) - b mark the fields where
     a >= b and widen into a mask over their value bits."""
@@ -103,25 +120,30 @@ def _lcm(a: int, b: int, guard: int) -> int:
 
 
 class Polynomial:
-    """Exact multivariate polynomial; terms map packed monomial -> Fraction."""
+    """Exact multivariate polynomial; terms map packed monomial -> nonzero
+    int or Fraction."""
 
     __slots__ = ("ctx", "terms", "_lt", "_tail")
 
     def __init__(self, ctx: PolyContext, terms: Optional[dict] = None):
-        """``terms`` maps exponent tuples to anything Fraction accepts."""
+        """``terms`` maps exponent tuples to anything Fraction accepts except a
+        float, which raises TypeError: a float is not an exact coefficient."""
         self.ctx = ctx
         self.terms = {}
         self._lt = None
         self._tail = None
         if terms:
             for exps, c in terms.items():
+                if isinstance(c, float):
+                    raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
                 c = Fraction(c)
                 if c:
-                    self.terms[ctx._pack(exps)] = c
+                    self.terms[ctx._pack(exps)] = c.numerator if c.denominator == 1 else c
 
     @classmethod
     def _make(cls, ctx: PolyContext, terms: dict) -> "Polynomial":
-        """Wrap packed terms whose coefficients are already nonzero Fractions."""
+        """Wrap packed terms whose coefficients are already nonzero ints or
+        Fractions."""
         p = cls.__new__(cls)
         p.ctx = ctx
         p.terms = terms
@@ -134,17 +156,17 @@ class Polynomial:
     def variable(cls, ctx, index, coeff=1):
         exps = [0] * ctx.nvars
         exps[index] = 1
-        return cls(ctx, {tuple(exps): Fraction(coeff)})
+        return cls(ctx, {tuple(exps): coeff})
 
     @classmethod
     def constant(cls, ctx, c):
-        return cls(ctx, {(0,) * ctx.nvars: Fraction(c)})
+        return cls(ctx, {(0,) * ctx.nvars: c})
 
     # structure ------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _lead(self) -> tuple[int, Fraction]:
+    def _lead(self) -> tuple[int, int | Fraction]:
         """Packed lead monomial and its coefficient."""
         if self._lt is None:
             m = max(self.terms)
@@ -158,7 +180,7 @@ class Polynomial:
             self._tail = (lead, tuple((m, c) for m, c in self.terms.items() if m != lead))
         return self._tail
 
-    def lt(self) -> tuple[tuple[int, ...], Fraction]:
+    def lt(self) -> tuple[tuple[int, ...], int | Fraction]:
         m, c = self._lead()
         return self.ctx._unpack(m), c
 
@@ -170,7 +192,8 @@ class Polynomial:
         _, c = self._lead()
         if c == 1:
             return self
-        return Polynomial._make(self.ctx, {m: v / c for m, v in self.terms.items()})
+        terms = {m: _quotient(v, c) for m, v in self.terms.items()}
+        return Polynomial._make(self.ctx, terms)
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
@@ -446,7 +469,7 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         if not _divides(glt, m, guard):
             raise ArithmeticError("division is not exact")
         q = m - glt
-        qc = c / glc
+        qc = _quotient(c, glc)
         out[q] = qc
         for mg, cg in g.terms.items():
             if mg == glt:
@@ -483,7 +506,7 @@ def edge_binomial(ctx: PolyContext, a: int, b: int) -> Polynomial:
     mb = [0] * ctx.nvars
     mb[ctx.x(b)] = 1
     mb[ctx.y(a)] = 1
-    return Polynomial(ctx, {tuple(ma): Fraction(1), tuple(mb): Fraction(-1)})
+    return Polynomial(ctx, {tuple(ma): 1, tuple(mb): -1})
 
 
 def binomial_edge_ideal(G: Graph, ctx: Optional[PolyContext] = None) -> Ideal:

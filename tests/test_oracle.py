@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bei.errors import ResourceBudgetError
-from bei.graphs import build_graph, cut_vertices
+from bei import oracle
+from bei.graphs import build_graph, cut_vertices, is_connected
 from bei.oracle import (
     MAX_INPUT_DEGREE,
     Ideal,
@@ -335,3 +337,104 @@ def test_buchberger_returns_a_reduced_basis(case):
                     assert not all(x <= y for x, y in zip(lead, exps))
     for g in gens:
         assert normal_form(g, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# coefficients: ints while division is exact, Fractions only after a remainder
+
+
+def coefficients(polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+def test_non_unit_lead_falls_back_to_fraction():
+    ctx = PolyContext(2)
+    x1, y1 = var(ctx, ctx.x(1)), var(ctx, ctx.y(1))
+    two, three = Polynomial.constant(ctx, 2), Polynomial.constant(ctx, 3)
+    (g,) = buchberger(Ideal(ctx, [two * x1 - three * y1]))
+    assert g.terms == {x1._lead()[0]: 1, y1._lead()[0]: Fraction(-3, 2)}
+    assert [type(c) for c in g.terms.values()] == [int, Fraction]
+
+
+def test_reduced_basis_unchanged_by_scaling_generators():
+    ctx = PolyContext(2)
+    rng = random.Random(13)
+    scales = [
+        Polynomial.constant(ctx, s) for s in (2, -1, Fraction(-1, 3), Fraction(5, 2))
+    ]
+    with_fraction = 0
+    for _ in range(200):
+        gens = [
+            Polynomial(
+                ctx,
+                {
+                    tuple(rng.randint(0, 1) for _ in range(ctx.nvars)): rng.choice(
+                        (-3, -2, -1, 1, 2, 3)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                },
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        base = buchberger(Ideal(ctx, gens))
+        coeffs = coefficients(base)
+        assert all(type(c) in (int, Fraction) for c in coeffs)
+        with_fraction += any(type(c) is Fraction for c in coeffs)
+        for k in scales:
+            scaled = buchberger(Ideal(ctx, [k * g for g in gens]))
+            assert scaled == base
+            assert all(type(c) in (int, Fraction) for c in coefficients(scaled))
+    assert with_fraction > 0  # the fallback path ran
+
+
+def test_colon_by_a_scaled_polynomial():
+    # (2f) has lead coefficient 2, so the quotients of _exact_divide are Fractions
+    I = binomial_edge_ideal(build_graph(3, [(1, 2), (2, 3)]), CTX3)
+    f = edge_binomial(CTX3, 1, 3)
+    plain = ideal_colon(I, f)
+    scaled = ideal_colon(I, Polynomial.constant(CTX3, 2) * f)
+    assert any(type(c) is Fraction for c in coefficients(scaled.gens))
+    assert all(type(c) in (int, Fraction) for c in coefficients(scaled.gens))
+    assert scaled.groebner() == plain.groebner()
+    assert ideal_equal(scaled, plain)
+
+
+def test_float_coefficients_are_rejected():
+    ctx = PolyContext(2)
+    with pytest.raises(TypeError):
+        Polynomial(ctx, {(1, 0, 0, 0): 0.1})
+    with pytest.raises(TypeError):
+        Polynomial.constant(ctx, 1.0)
+    with pytest.raises(TypeError):
+        Polynomial.variable(ctx, 0, coeff=0.5)
+    x1, x2 = (1, 0, 0, 0), (0, 1, 0, 0)
+    exact = Polynomial(ctx, {x1: Fraction(1, 10), x2: Fraction(4, 2)})
+    assert exact.terms == {ctx._pack(x1): Fraction(1, 10), ctx._pack(x2): 2}
+    assert [type(c) for c in exact.terms.values()] == [Fraction, int]
+
+
+def test_edge_ideal_bases_stay_integral(monkeypatch):
+    """Every basis the primary-decomposition check builds, the reduced basis of
+    J_G and those of its intersections, has int coefficients only."""
+    bases = []
+    original = oracle.buchberger
+
+    def recording(I):
+        gb = original(I)
+        bases.append((I.ctx.aux, gb))
+        return gb
+
+    monkeypatch.setattr(oracle, "buchberger", recording)
+    graphs = 0
+    for n in range(2, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for k in range(1 << len(pairs)):
+            g = build_graph(n, [pairs[i] for i in range(len(pairs)) if k >> i & 1])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            assert verify_primary_decomposition(g)
+    assert graphs == 43
+    assert any(aux for aux, _ in bases) and any(not aux for aux, _ in bases)
+    for _, gb in bases:
+        assert all(type(c) is int for c in coefficients(gb))
