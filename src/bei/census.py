@@ -36,6 +36,7 @@ from .degeneration import betti_table, initial_ideal, invariants
 from .errors import TierExceededError
 from .graph6 import emit_graph6, format_edge_list, parse_graph6
 from .graphs import (
+    ENUMERATION_MAX,
     Graph,
     build_graph,
     canonical_form,
@@ -71,9 +72,6 @@ def _source_version(package_dir: str) -> str:
 
 PIPELINE_VERSION = _source_version(os.path.dirname(os.path.abspath(__file__)))
 
-CENSUS_MAX_N = 7
-CENSUS_BEST_EFFORT_N = 8
-
 
 @dataclass(frozen=True)
 class CensusRecord:
@@ -103,9 +101,9 @@ class CensusRecord:
         return cls(**d)
 
 
-def analyze(G: Graph, best_effort: bool = False) -> CensusRecord:
+def analyze(G: Graph) -> CensusRecord:
     """Run the full pipeline on one graph; all licci routes must agree."""
-    verdict: CombinedVerdict = licci_verdict(G, best_effort)
+    verdict: CombinedVerdict = licci_verdict(G)
     rec = verdict.witness
     cliques = maximal_cliques(G)
     shape = verdict.shape.to_json() if verdict.shape else {
@@ -131,27 +129,20 @@ def analyze(G: Graph, best_effort: bool = False) -> CensusRecord:
     )
 
 
-def _worker(args: tuple[str, bool]) -> str:
-    g6, best_effort = args
+def _worker(g6: str) -> str:
     try:
-        return analyze(parse_graph6(g6.encode("ascii")), best_effort).to_json()
+        return analyze(parse_graph6(g6.encode("ascii"))).to_json()
     except Exception as exc:
         # pool.map re-raises the bare exception: name the class, keep the type
         exc.args = (f"{exc} (class {g6})",) + exc.args[1:]
         raise
 
 
-def census_graphs(max_n: int, best_effort: bool = False) -> list[Graph]:
-    cap = CENSUS_BEST_EFFORT_N if best_effort else CENSUS_MAX_N
-    if max_n > cap:
-        raise TierExceededError(
-            f"census tier is {CENSUS_MAX_N} (or {CENSUS_BEST_EFFORT_N} with "
-            f"best-effort), got {max_n}"
-        )
-    return _connected_classes(max_n)
-
-
-def _connected_classes(max_n: int) -> list[Graph]:
+def census_graphs(max_n: int) -> list[Graph]:
+    """Connected classes with edges up to ``max_n``; the census tier is the
+    enumeration tier, refused here before any class is enumerated."""
+    if max_n > ENUMERATION_MAX:
+        raise TierExceededError(f"census tier is n <= {ENUMERATION_MAX}, got {max_n}")
     graphs = (g for n in range(2, max_n + 1) for g in enumerate_connected(n))
     return [g for g in graphs if g.edge_count()]
 
@@ -178,24 +169,22 @@ def _pool_size(jobs: int, tasks: int) -> int:
 def compute_records(
     max_n: int,
     jobs: Optional[int] = None,
-    best_effort: bool = False,
     reuse: Optional[dict[str, str]] = None,
 ) -> dict[str, CensusRecord]:
     """Records for every connected class with edges, keyed by canonical graph6."""
     jobs = jobs or default_jobs()
-    graphs = census_graphs(max_n, best_effort)
+    graphs = census_graphs(max_n)
     # each enumerated class comes canonically labeled: its graph6 is its form
     keys = [emit_graph6(g).decode("ascii") for g in graphs]
     todo = [k for k in keys if not (reuse and k in reuse)]
     lines: dict[str, str] = {k: reuse[k] for k in keys if reuse and k in reuse}
     if todo:
-        work = [(k, best_effort) for k in todo]
         workers = _pool_size(jobs, len(todo))
         if workers > 1 and len(todo) > 8:
             with get_context("fork").Pool(workers) as pool:
-                results = pool.map(_worker, work, chunksize=8)
+                results = pool.map(_worker, todo, chunksize=8)
         else:
-            results = [_worker(w) for w in work]
+            results = [_worker(k) for k in todo]
         lines.update(zip(todo, results))
     return {k: CensusRecord.from_json(lines[k]) for k in keys}
 
@@ -234,7 +223,6 @@ def run_census(
     max_n: int,
     out_path: str,
     jobs: Optional[int] = None,
-    best_effort: bool = False,
 ) -> list[CensusRecord]:
     """Write one JSONL record per class, canonical order, plus an index sidecar.
 
@@ -244,7 +232,7 @@ def run_census(
     """
     idx_path = out_path + ".idx"
     reuse = _read_reusable(out_path, idx_path)
-    records = compute_records(max_n, jobs, best_effort, reuse or None)
+    records = compute_records(max_n, jobs, reuse or None)
     ordered = sorted(
         records.values(), key=lambda r: (r.n, r.graph6.encode("ascii"))
     )
@@ -295,8 +283,8 @@ def _connected_data(max_n: int, jobs) -> list[tuple[Graph, CensusRecord]]:
 
 
 def _connected_graphs(max_n: int, jobs) -> list[tuple[Graph, None]]:
-    """Connected classes with edges, without records and without the census cap."""
-    return [(g, None) for g in _connected_classes(max_n)]
+    """Connected classes with edges, without records."""
+    return [(g, None) for g in census_graphs(max_n)]
 
 
 def _all_classes(max_n: int, jobs) -> list[tuple[Graph, None]]:

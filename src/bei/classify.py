@@ -148,7 +148,7 @@ class CombinedVerdict:
     routes_agree: bool
 
 
-def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
+def licci_verdict(G: Graph) -> CombinedVerdict:
     """Run every applicable route; raise if they do not agree.
 
     The invariants and the chordality test are computed once here.  The
@@ -156,7 +156,7 @@ def licci_verdict(G: Graph, best_effort: bool = False) -> CombinedVerdict:
     (for connected chordal graphs) by unmixedness.
     """
     by_shape = licci_by_shape(G)
-    rec = invariants(G, best_effort)
+    rec = invariants(G)
     chordal, _ = is_chordal(G)
     routes = ["shape", "algebra"]
     verdicts = [by_shape.licci, licci_by_algebra(G, rec)]

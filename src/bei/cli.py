@@ -72,8 +72,7 @@ def main() -> None:
 @click.option("--edges", "edges_text", help="edge list 'n;a-b,c-d,...' (1-based)")
 @click.option("--graph6", "graph6_text", help="graph6 string")
 @click.option("--json", "as_json", is_flag=True, help="emit one JSON object")
-@click.option("--best-effort", is_flag=True, help="allow the n=8 scan tier")
-def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
+def analyze_cmd(edges_text, graph6_text, as_json) -> None:
     """Full pipeline on a single graph."""
     if bool(edges_text) == bool(graph6_text):
         raise click.UsageError("give exactly one of --edges / --graph6")
@@ -87,7 +86,7 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
     if not G.edge_count():
         raise click.UsageError("edgeless graph: its binomial edge ideal is zero")
     with _exit_codes():
-        record = analyze_graph(G, best_effort)
+        record = analyze_graph(G)
     if as_json:
         click.echo(record.to_json())
     else:
@@ -103,12 +102,11 @@ def analyze_cmd(edges_text, graph6_text, as_json, best_effort) -> None:
               callback=_in_existing_dir)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="workers (default: BEI_JOBS or all cores)")
-@click.option("--best-effort", is_flag=True, help="allow n=8")
-def census_cmd(max_n, out_path, jobs, best_effort) -> None:
+def census_cmd(max_n, out_path, jobs) -> None:
     """All connected classes with edges up to --max-n, as sorted JSONL."""
     jobs = _jobs(jobs)
     with _exit_codes():
-        records = run_census(max_n, out_path, jobs, best_effort)
+        records = run_census(max_n, out_path, jobs)
     if not records:
         _fail_vacuous(max_n)
     click.echo(f"wrote {len(records)} records to {out_path}")

@@ -85,7 +85,6 @@ from .graphs import (
 )
 from .primes import minimal_primes
 
-BETTI_GUARANTEED_N = 6
 BETTI_MAX_N = 8
 
 
@@ -199,20 +198,23 @@ def colon_generators(H: Graph, e) -> SquarefreeMonomialIdeal:
 # relative faces and exact homology ranks
 
 
-def _relative_faces(universe: int, gens) -> dict[int, list[int]]:
+def _relative_faces(gens) -> dict[int, list[int]]:
     """Chain groups of (del v, link v), v the vertex in fewest generators.
 
-    These are the subsets F of ``universe`` with v not in F that contain no
-    generator but contain g - v for some generator g through v, grouped by
-    size.  Their relative homology is the reduced homology of the complex on
-    ``universe`` avoiding ``gens``; ``universe`` must be nonempty.
+    These are the subsets F of the union of ``gens`` with v not in F that
+    contain no generator but contain g - v for some generator g through v,
+    grouped by size.  Their relative homology is the reduced homology of the
+    complex on that union avoiding ``gens``.  The generators must be minimal
+    and every slot of their union must lie in two or more of them, as in the
+    parts that reach here: then v has anchors g - v, and none is empty.
     """
+    universe = 0
+    for g in gens:
+        universe |= g
     verts = [u for u in range(universe.bit_length()) if universe >> u & 1]
     v = min(verts, key=lambda u: sum(g >> u & 1 for g in gens))
     vb = 1 << v
     anchors = [g ^ vb for g in gens if g & vb]
-    if not anchors:
-        return {}  # the complex is a cone over v
     covered = 0
     for a in anchors:
         covered |= a
@@ -248,11 +250,7 @@ def _relative_faces(universe: int, gens) -> dict[int, list[int]]:
                 faces.setdefault(size + 1, []).append(nf)
             rec(idx + 1, nf, size + 1, child)
 
-    if 0 in anchors:
-        faces[0] = [0]
-        rec(0, 0, 0, None)
-    else:
-        rec(0, 0, 0, anchors)
+    rec(0, 0, 0, anchors)
     return faces
 
 
@@ -437,7 +435,7 @@ def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
         if common:
             u = common & -common
             return _shifted_link(once ^ u, (g & ~u for g in gens), 1)
-    ranks = _homology_ranks(_relative_faces(once, gens))
+    ranks = _homology_ranks(_relative_faces(gens))
     return {d: r for d, r in ranks.items() if r}
 
 
@@ -454,21 +452,16 @@ def _shifted_link(rest: int, gens, shift: int) -> dict[int, int]:
     return {d + shift: r for d, r in _link_homology(link).items()}
 
 
-def _check_betti_tier(n_vars: int, best_effort: bool) -> None:
+def _check_betti_tier(n_vars: int) -> None:
     if n_vars > 2 * BETTI_MAX_N:
         raise TierExceededError(
             f"Betti scan tier is {2 * BETTI_MAX_N} slots, got {n_vars}"
         )
-    if n_vars > 2 * (BETTI_MAX_N - 1) and not best_effort:
-        raise TierExceededError(
-            f"{n_vars} slots needs best_effort=True (guaranteed tier is "
-            f"{2 * BETTI_GUARANTEED_N})"
-        )
 
 
-def betti_table(I: SquarefreeMonomialIdeal, best_effort: bool = False) -> BettiTable:
+def betti_table(I: SquarefreeMonomialIdeal) -> BettiTable:
     """Full graded Betti table of the quotient by a squarefree monomial ideal."""
-    _check_betti_tier(I.n_vars, best_effort)
+    _check_betti_tier(I.n_vars)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     gens = I.min_gens
     for W in _covered_unions(gens):
@@ -521,7 +514,7 @@ class InvariantRecord:
     prime_count: int  # minimal primes, one per cut set
 
 
-def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
+def invariants(G: Graph) -> InvariantRecord:
     """Regularity, depth, dimension and friends for the edge-minor quotient.
 
     Regularity and projective dimension are computed per connected component
@@ -537,11 +530,11 @@ def invariants(G: Graph, best_effort: bool = False) -> InvariantRecord:
     pd = 0
     for comp in comps:
         sub = induced_on(G, comp).graph
-        _check_betti_tier(2 * sub.n, best_effort)
+        _check_betti_tier(2 * sub.n)
         I = initial_ideal(sub)
         if I.is_zero():
             continue  # an isolated vertex: S/0 has reg 0 and pd 0
-        dual = betti_table(_alexander_dual(I), best_effort)
+        dual = betti_table(_alexander_dual(I))
         reg += dual.pd - 1
         pd += dual.reg + 1
     summary = minimal_primes(G)

@@ -20,6 +20,7 @@ from bei.census import (
 )
 from bei.cli import main
 from bei.cliques import is_chordal
+from bei.errors import TierExceededError
 from bei.graphs import build_graph
 
 
@@ -345,6 +346,31 @@ def test_cli_analyze():
     for flag, text in (("--edges", "3;"), ("--graph6", "B?")):  # edgeless
         res = runner.invoke(main, ["analyze", flag, text])
         assert res.exit_code == 2 and "edgeless" in res.output
+    path9 = "9;" + ",".join(f"{i}-{i + 1}" for i in range(1, 9))
+    res = runner.invoke(main, ["analyze", "--edges", path9])
+    assert res.exit_code == 3 and "Traceback" not in res.output
+    assert [l for l in res.output.splitlines() if l.startswith("error:")] == [
+        "error: Betti scan tier is 16 slots, got 18"
+    ]
+
+
+def test_census_tier_is_refused_before_enumeration(tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated n = {n}")
+
+    monkeypatch.setattr(graphs, "enumerate_connected", refuse)
+    monkeypatch.setattr(census, "enumerate_connected", refuse)
+    with pytest.raises(TierExceededError, match="census tier is n <= 8, got 9"):
+        census_graphs(9)
+    for argv in (
+        ["census", "--max-n", "9", "--out", str(tmp_path / "c.jsonl")],
+        ["verify", "--theorem", "naoki-bound", "--max-n", "9"],  # with records
+        ["verify", "--theorem", "codim1", "--max-n", "9"],  # without records
+    ):
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code == 3 and "Traceback" not in res.output
+        assert res.output.splitlines() == ["error: census tier is n <= 8, got 9"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_census_and_verify(tmp_path):
@@ -353,7 +379,7 @@ def test_cli_census_and_verify(tmp_path):
     res = runner.invoke(main, ["census", "--max-n", "3", "--out", str(out)])
     assert res.exit_code == 0 and "3 records" in res.output
     res = runner.invoke(main, ["census", "--max-n", "9", "--out", str(out)])
-    assert res.exit_code == 3  # above tier without --best-effort
+    assert res.exit_code == 3 and "census tier" in res.output
     missing = tmp_path / "missing" / "c.jsonl"
     res = runner.invoke(main, ["census", "--max-n", "3", "--out", str(missing)])
     assert res.exit_code == 2 and "does not exist" in res.output
@@ -361,7 +387,7 @@ def test_cli_census_and_verify(tmp_path):
     assert res.exit_code == 0 and "violations 0" in res.output
     res = runner.invoke(main, ["verify", "--theorem", "bogus", "--max-n", "4"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "8"])
+    res = runner.invoke(main, ["verify", "--theorem", "naoki-bound", "--max-n", "9"])
     assert res.exit_code == 3 and "census tier" in res.output
     # the oracle checks nothing above n = 5, so it must not report a higher tier
     res = runner.invoke(main, ["verify", "--theorem", "colon-oracle", "--max-n", "9"])
@@ -409,10 +435,10 @@ def test_cli_census_worker_failure_names_the_class(tmp_path, monkeypatch):
         (ResourceBudgetError, 3, "error: "),
         (RouteDisagreementError, 1, "ROUTE DISAGREEMENT: "),
     ):
-        def planted(g, best_effort=False, error=error):
+        def planted(g, error=error):
             if census.canonical_form(g) == b"C~":  # K4
                 raise error("planted fault")
-            return real(g, best_effort)
+            return real(g)
 
         monkeypatch.setattr(census, "analyze", planted)
         argv = ["census", "--max-n", "4", "--out", str(out), "--jobs", "2"]
