@@ -106,9 +106,10 @@ def analyze(G: Graph) -> CensusRecord:
     verdict: CombinedVerdict = licci_verdict(G)
     rec = verdict.witness
     cliques = maximal_cliques(G)
-    shape = verdict.shape.to_json() if verdict.shape else {
+    shapes = verdict.component_shapes
+    shape = shapes[0].to_json() if len(shapes) == 1 else {
         "kind": "disconnected",
-        "components": [s.to_json() for s in verdict.component_shapes],
+        "components": [s.to_json() for s in shapes],
     }
     return CensusRecord(
         graph6=canonical_form(G).decode("ascii"),
@@ -143,8 +144,8 @@ def census_graphs(max_n: int) -> list[Graph]:
     enumeration tier, refused here before any class is enumerated."""
     if max_n > ENUMERATION_MAX:
         raise TierExceededError(f"census tier is n <= {ENUMERATION_MAX}, got {max_n}")
-    graphs = (g for n in range(2, max_n + 1) for g in enumerate_connected(n))
-    return [g for g in graphs if g.edge_count()]
+    # a connected class with n >= 2 has an edge
+    return [g for n in range(2, max_n + 1) for g in enumerate_connected(n)]
 
 
 def default_jobs() -> int:
@@ -168,11 +169,10 @@ def _pool_size(jobs: int, tasks: int) -> int:
 
 def compute_records(
     max_n: int,
-    jobs: Optional[int] = None,
+    jobs: int,
     reuse: Optional[dict[str, str]] = None,
 ) -> dict[str, CensusRecord]:
     """Records for every connected class with edges, keyed by canonical graph6."""
-    jobs = jobs or default_jobs()
     graphs = census_graphs(max_n)
     # each enumerated class comes canonically labeled: its graph6 is its form
     keys = [emit_graph6(g).decode("ascii") for g in graphs]
@@ -219,11 +219,7 @@ def _replace_atomically(path: str, data: bytes) -> None:
             os.unlink(tmp)
 
 
-def run_census(
-    max_n: int,
-    out_path: str,
-    jobs: Optional[int] = None,
-) -> list[CensusRecord]:
+def run_census(max_n: int, out_path: str, jobs: int) -> list[CensusRecord]:
     """Write one JSONL record per class, canonical order, plus an index sidecar.
 
     Both files are replaced atomically, the JSONL first; the index pins the
@@ -292,7 +288,10 @@ def _all_classes(max_n: int, jobs) -> list[tuple[Graph, None]]:
 
 
 def all_graph_classes(max_n: int) -> list[Graph]:
-    """Every isomorphism class (connected or not) with at least one edge."""
+    """Every isomorphism class (connected or not) with at least one edge;
+    ``max_n`` above the enumeration tier is refused before any enumeration."""
+    if max_n > ENUMERATION_MAX:
+        raise TierExceededError(f"enumeration tier is n <= {ENUMERATION_MAX}, got {max_n}")
     out = []
     for n in range(1, max_n + 1):
         out.extend(g for g in enumerate_graphs(n) if g.edge_count())
@@ -561,9 +560,7 @@ THEOREMS = {
 }
 
 
-def run_verification(
-    theorem_id: str, max_n: int, jobs: Optional[int] = None
-) -> VerificationReport:
+def run_verification(theorem_id: str, max_n: int, jobs: int) -> VerificationReport:
     if theorem_id not in THEOREMS:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREMS)}"

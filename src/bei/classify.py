@@ -1,12 +1,14 @@
 """Shape recognition and the licci verdict through independent routes.
 
-The shape route is purely combinatorial (path, or triangle with pendant
-paths).  The algebra route asks for Cohen-Macaulayness plus regularity in
-the top window; for chordal graphs a third route needs only unmixedness.
-When more than one route applies they are all computed and compared; a
-disagreement raises instead of picking a winner.  The algebraic routes read
-one record ``rec = invariants(G)`` and one ``is_chordal`` result, both
-computed once by ``licci_verdict``; each route returns a plain verdict.
+The shape route is purely combinatorial: J_G is licci exactly when every
+component of G is a path, except that at most one may be a triangle with
+pendant paths.  The algebra route asks for Cohen-Macaulayness plus
+regularity in the top window; for connected chordal graphs a third route
+needs only unmixedness.  When more than one route applies they are all
+computed and compared; a disagreement raises instead of picking a winner.
+``licci_verdict`` computes the component shapes, one record
+``rec = invariants(G)`` and one ``is_chordal`` result once and hands them to
+the routes; each route returns a bool.
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ class Shape:
         if self.attached is not None:
             out["r"], out["s"], out["t"] = self.attached
         return out
-
-
-@dataclass(frozen=True)
-class LicciVerdict:
-    licci: bool
-    shape: Optional[Shape]
-    component_shapes: tuple[Shape, ...] = ()
 
 
 def classify_shape(G: Graph) -> Shape:
@@ -98,21 +93,13 @@ def classify_shape(G: Graph) -> Shape:
     return Shape(TRIANGLE_WITH_PATHS, tuple(sorted(lengths, reverse=True)))
 
 
-def licci_by_shape(G: Graph) -> LicciVerdict:
-    """Combinatorial verdict: every component a path, at most one triangle-with-paths."""
-    if G.edge_count() == 0:
-        raise ValueError("edgeless graph has no proper ideal to classify")
-    comps = connected_components(G)
-    shapes = tuple(classify_shape(induced_on(G, c).graph) for c in comps)
-    if len(comps) == 1:
-        licci = shapes[0].kind in (PATH, TRIANGLE_WITH_PATHS)
-        return LicciVerdict(licci, shapes[0], shapes)
+def licci_by_shape(shapes: tuple[Shape, ...]) -> bool:
+    """Combinatorial verdict on the component shapes: every component a path,
+    except at most one triangle-with-paths."""
     kinds = [s.kind for s in shapes]
-    licci = all(k == PATH for k in kinds) or (
-        kinds.count(TRIANGLE_WITH_PATHS) == 1
-        and all(k == PATH for k in kinds if k != TRIANGLE_WITH_PATHS)
+    return kinds.count(TRIANGLE_WITH_PATHS) <= 1 and all(
+        k in (PATH, TRIANGLE_WITH_PATHS) for k in kinds
     )
-    return LicciVerdict(licci, None, shapes)
 
 
 def licci_by_algebra(G: Graph, rec: InvariantRecord) -> bool:
@@ -141,7 +128,6 @@ def chordal_licci(G: Graph, rec: InvariantRecord, chordal: bool) -> bool:
 @dataclass(frozen=True)
 class CombinedVerdict:
     licci: bool
-    shape: Optional[Shape]
     component_shapes: tuple[Shape, ...]
     witness: InvariantRecord
     chordal: bool
@@ -151,15 +137,17 @@ class CombinedVerdict:
 def licci_verdict(G: Graph) -> CombinedVerdict:
     """Run every applicable route; raise if they do not agree.
 
-    The invariants and the chordality test are computed once here.  The
-    routes still decide independently: by shape, by Cohen-Macaulayness, and
-    (for connected chordal graphs) by unmixedness.
+    The component shapes, the invariants and the chordality test are
+    computed once here.  The routes still decide independently: by shape, by
+    Cohen-Macaulayness, and (for connected chordal graphs) by unmixedness.
     """
-    by_shape = licci_by_shape(G)
+    if G.edge_count() == 0:
+        raise ValueError("edgeless graph has no proper ideal to classify")
+    shapes = tuple(classify_shape(induced_on(G, c).graph) for c in connected_components(G))
     rec = invariants(G)
     chordal, _ = is_chordal(G)
     routes = ["shape", "algebra"]
-    verdicts = [by_shape.licci, licci_by_algebra(G, rec)]
+    verdicts = [licci_by_shape(shapes), licci_by_algebra(G, rec)]
     if chordal and is_connected(G):
         routes.append("chordal")
         verdicts.append(chordal_licci(G, rec, chordal))
@@ -170,8 +158,7 @@ def licci_verdict(G: Graph) -> CombinedVerdict:
         )
     return CombinedVerdict(
         licci=verdicts[0],
-        shape=by_shape.shape,
-        component_shapes=by_shape.component_shapes,
+        component_shapes=shapes,
         witness=rec,
         chordal=chordal,
         routes_agree=True,

@@ -73,7 +73,6 @@ against the dual route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import TierExceededError
 from .graphs import (
@@ -182,8 +181,10 @@ def colon_generators(H: Graph, e) -> SquarefreeMonomialIdeal:
         raise ValueError("endpoints must differ")
     n = H.n
     gens = []
-    for path in simple_paths(H, i, j, require_inner=True):
+    for path in simple_paths(H, i, j):
         inner = path.inner
+        if not inner:
+            continue
         for t in range(len(inner) + 1):
             m = 0
             for k in inner[:t]:
@@ -254,23 +255,13 @@ def _relative_faces(gens) -> dict[int, list[int]]:
     return faces
 
 
-def _normalized(col: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return col
-    if g > 1:
-        return {k: v // g for k, v in col.items()}
-    return col
-
-
 def _rank_of_columns(cols) -> int:
-    """Rank over the rationals of integer sparse columns (exact, gcd-reduced).
+    """Rank over the rationals of integer sparse columns (exact).
 
-    Rows may be rescaled freely since only the rank is wanted; pivots are
-    stored with positive leading entry and rows are gcd-reduced only when a
-    non-unit pivot forces a cross-multiplication.
+    Fraction-free elimination: a column may be rescaled freely since only the
+    rank is wanted, so a non-unit pivot b is cleared by multiplying the
+    column by b, never by dividing.  Pivots are stored with positive leading
+    entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
@@ -299,7 +290,7 @@ def _rank_of_columns(cols) -> int:
                     new[k] = w
                 elif k in new:
                     del new[k]
-            col = new if b == 1 else _normalized(new)
+            col = new
     return rank
 
 

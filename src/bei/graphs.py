@@ -145,29 +145,19 @@ class InducedSubgraph:
     labels: tuple[int, ...]
 
 
-def restriction(G: Graph, removed) -> InducedSubgraph:
-    """Induced subgraph on the vertices outside ``removed`` (set of labels)."""
-    removed_mask = labels_to_mask(removed)
-    keep = [v for v in range(G.n) if not removed_mask >> v & 1]
+def induced_on(G: Graph, kept) -> InducedSubgraph:
+    """Induced subgraph on the given label set."""
+    keep_mask = labels_to_mask(kept)
+    keep = [v for v in range(G.n) if keep_mask >> v & 1]
     index = {v: k for k, v in enumerate(keep)}
     adj = [0] * len(keep)
     for k, v in enumerate(keep):
-        m = G.adj[v] & ~removed_mask
+        m = G.adj[v] & keep_mask
         while m:
             b = m & -m
             m ^= b
             adj[k] |= 1 << index[b.bit_length() - 1]
-    if not keep:
-        # empty graph: modeled as the 0-vertex edge case via n=0 sentinel is
-        # not representable; callers that allow it get an explicit marker
-        return InducedSubgraph(Graph(0, ()), ())
     return InducedSubgraph(Graph(len(keep), tuple(adj)), tuple(v + 1 for v in keep))
-
-
-def induced_on(G: Graph, kept) -> InducedSubgraph:
-    """Induced subgraph on the given label set."""
-    keep_mask = labels_to_mask(kept)
-    return restriction(G, mask_to_labels(G.full_mask() & ~keep_mask))
 
 
 def delete_edge(G: Graph, e) -> Graph:
@@ -233,7 +223,7 @@ class VertexPath:
         return self.vertices[1:-1]
 
 
-def simple_paths(G: Graph, i: int, j: int, require_inner: bool = False) -> list[VertexPath]:
+def simple_paths(G: Graph, i: int, j: int) -> list[VertexPath]:
     """All simple paths between i and j, oriented from min(i,j), lexicographic order."""
     if i == j:
         raise ValueError("endpoints must differ")
@@ -245,8 +235,7 @@ def simple_paths(G: Graph, i: int, j: int, require_inner: bool = False) -> list[
 
     def dfs(v: int, visited: int) -> None:
         if v == target:
-            if not require_inner or len(path) > 2:
-                out.append(VertexPath(tuple(u + 1 for u in path)))
+            out.append(VertexPath(tuple(u + 1 for u in path)))
             return
         m = adj[v] & ~visited
         while m:

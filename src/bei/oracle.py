@@ -33,7 +33,7 @@ from typing import Optional
 
 from .degeneration import colon_generators, initial_ideal
 from .errors import ResourceBudgetError
-from .graphs import Graph, delete_edge, edge_completion, ohtani_completion, restriction
+from .graphs import Graph, delete_edge, edge_completion, induced_on, ohtani_completion
 from .primes import CutSet, cut_sets, minimal_primes
 
 MAX_EFFECTIVE_VARS = 11
@@ -125,20 +125,19 @@ class Polynomial:
 
     __slots__ = ("ctx", "terms", "_lt", "_tail")
 
-    def __init__(self, ctx: PolyContext, terms: Optional[dict] = None):
+    def __init__(self, ctx: PolyContext, terms: dict):
         """``terms`` maps exponent tuples to anything Fraction accepts except a
         float, which raises TypeError: a float is not an exact coefficient."""
         self.ctx = ctx
         self.terms = {}
         self._lt = None
         self._tail = None
-        if terms:
-            for exps, c in terms.items():
-                if isinstance(c, float):
-                    raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
-                c = Fraction(c)
-                if c:
-                    self.terms[ctx._pack(exps)] = c.numerator if c.denominator == 1 else c
+        for exps, c in terms.items():
+            if isinstance(c, float):
+                raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
+            c = Fraction(c)
+            if c:
+                self.terms[ctx._pack(exps)] = c.numerator if c.denominator == 1 else c
 
     @classmethod
     def _make(cls, ctx: PolyContext, terms: dict) -> "Polynomial":
@@ -153,10 +152,10 @@ class Polynomial:
 
     # builders -------------------------------------------------------------
     @classmethod
-    def variable(cls, ctx, index, coeff=1):
+    def variable(cls, ctx, index):
         exps = [0] * ctx.nvars
         exps[index] = 1
-        return cls(ctx, {tuple(exps): coeff})
+        return cls(ctx, {tuple(exps): 1})
 
     @classmethod
     def constant(cls, ctx, c):
@@ -525,13 +524,11 @@ def monomial_polynomial(ctx: PolyContext, mask: int) -> Polynomial:
     return Polynomial(ctx, {_slot_exponents(ctx, mask): 1})
 
 
-def prime_component_ideal(
-    G: Graph, S: CutSet, ctx: Optional[PolyContext] = None
-) -> Ideal:
+def prime_component_ideal(G: Graph, S: CutSet) -> Ideal:
     """Variables for S plus the 2-minors of the completed components."""
     if S not in cut_sets(G):
         raise ValueError("not a valid cut set of this graph")
-    ctx = ctx or PolyContext(G.n)
+    ctx = PolyContext(G.n)
     gens = []
     for v in S.labels():
         gens.append(Polynomial.variable(ctx, ctx.x(v)))
@@ -585,7 +582,7 @@ def verify_ohtani(G: Graph, v: int) -> bool:
     _budget_n(G, 5, "vertex splitting check")
     ctx = PolyContext(G.n)
     right_a = binomial_edge_ideal(ohtani_completion(G, v), ctx)
-    rest = restriction(G, [v])
+    rest = induced_on(G, [u for u in range(1, G.n + 1) if u != v])
     gens = [
         edge_binomial(ctx, rest.labels[a - 1], rest.labels[b - 1])
         for a, b in rest.graph.edges()

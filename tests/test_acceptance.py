@@ -6,6 +6,7 @@ BEI_ACCEPT_MAX_N can lower the tier while iterating locally (the shipped
 default is the full tier).
 """
 
+import hashlib
 import os
 import time
 from contextlib import contextmanager
@@ -35,6 +36,7 @@ from bei.oracle import (
 
 ACCEPT_MAX_N = int(os.environ.get("BEI_ACCEPT_MAX_N", "7"))
 JOBS = int(os.environ.get("BEI_JOBS", str(os.cpu_count() or 1)))
+CENSUS_N6_SHA256 = "340748b0af83117a8022f3736f963c1b9cf0822a5efe2b6cac90435b2d8876b7"
 
 _timings: dict[str, float] = {}
 
@@ -232,4 +234,6 @@ def test_criterion_10_census_determinism(tmp_path):
         run_census(6, str(eight), jobs=8)
         assert one.read_bytes() == eight.read_bytes()
         assert len(one.read_text().splitlines()) == 142
+        # the census-n6 bytes that perfbench/reference/census_n6.jsonl pins
+        assert hashlib.sha256(one.read_bytes()).hexdigest() == CENSUS_N6_SHA256
         assert time.monotonic() - start < 900

@@ -216,11 +216,11 @@ def test_run_verification_reports(monkeypatch):
         raise AssertionError("codim1 needs no census records")
 
     monkeypatch.setattr(census, "compute_records", no_records)
-    rep = run_verification("codim1", 5)
+    rep = run_verification("codim1", 5, jobs=1)
     assert rep.ok() and rep.instances == 23
     assert rep.to_json()["violations"] == []
     with pytest.raises(ValueError):
-        run_verification("no-such-theorem", 5)
+        run_verification("no-such-theorem", 5, jobs=1)
 
 
 REGISTRY_CASES = [
@@ -267,7 +267,7 @@ def _raise_every_reg(monkeypatch):
 
 def test_sweeps_report_violations(monkeypatch):
     _raise_every_reg(monkeypatch)
-    rep = run_verification("naoki-bound", 3)
+    rep = run_verification("naoki-bound", 3, jobs=1)
     assert rep.instances == 3 and not rep.ok()
     assert rep.violations == (
         {"graph6": "A_", "detail": "reg 2 > n-dim 1"},
@@ -278,7 +278,7 @@ def test_sweeps_report_violations(monkeypatch):
         {"graph6": "Bw", "detail": "reg 2 > n-dim 1"},
         {"graph6": "Bw", "detail": "clique form fails at (1, 2, 3)"},
     )
-    rep = run_verification("regmax-path", 3)
+    rep = run_verification("regmax-path", 3, jobs=1)
     assert rep.instances == 3
     assert rep.violations == (
         {"graph6": "A_", "detail": "reg 2, shape {'kind': 'path'}"},
@@ -301,7 +301,7 @@ def test_sweeps_report_violations(monkeypatch):
         return dataclasses.replace(table, pd=table.pd + 1)
 
     monkeypatch.setattr(degeneration, "betti_table", pd_off_by_one)
-    rep = run_verification("terai-duality", 3)
+    rep = run_verification("terai-duality", 3, jobs=1)
     assert rep.instances == 3
     assert rep.violations == (
         {"graph6": "A_", "detail": "primal reg 1 pd 1, dual reg 2 pd 1"},
@@ -358,10 +358,13 @@ def test_census_tier_is_refused_before_enumeration(tmp_path, monkeypatch):
     def refuse(n):
         raise AssertionError(f"enumerated n = {n}")
 
-    monkeypatch.setattr(graphs, "enumerate_connected", refuse)
-    monkeypatch.setattr(census, "enumerate_connected", refuse)
+    for name in ("enumerate_connected", "enumerate_graphs"):
+        monkeypatch.setattr(graphs, name, refuse)
+        monkeypatch.setattr(census, name, refuse)
     with pytest.raises(TierExceededError, match="census tier is n <= 8, got 9"):
         census_graphs(9)
+    with pytest.raises(TierExceededError, match="enumeration tier is n <= 8, got 9"):
+        census.all_graph_classes(9)
     for argv in (
         ["census", "--max-n", "9", "--out", str(tmp_path / "c.jsonl")],
         ["verify", "--theorem", "naoki-bound", "--max-n", "9"],  # with records
@@ -370,6 +373,10 @@ def test_census_tier_is_refused_before_enumeration(tmp_path, monkeypatch):
         res = CliRunner().invoke(main, argv)
         assert res.exit_code == 3 and "Traceback" not in res.output
         assert res.output.splitlines() == ["error: census tier is n <= 8, got 9"]
+    for theorem in ("disconnected-bound", "disconnected-licci"):  # every class
+        res = CliRunner().invoke(main, ["verify", "--theorem", theorem, "--max-n", "9"])
+        assert res.exit_code == 3 and "Traceback" not in res.output
+        assert res.output.splitlines() == ["error: enumeration tier is n <= 8, got 9"]
     assert not list(tmp_path.iterdir())
 
 

@@ -12,7 +12,13 @@ from bei.classify import (
 )
 from bei.cliques import is_chordal
 from bei.degeneration import invariants
-from bei.graphs import build_graph, enumerate_connected, is_bipartite
+from bei.graphs import (
+    build_graph,
+    connected_components,
+    enumerate_connected,
+    induced_on,
+    is_bipartite,
+)
 
 K3 = build_graph(3, [(1, 2), (2, 3), (1, 3)])
 DIAMOND = build_graph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -23,6 +29,10 @@ TRI_PENDANT = build_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
 
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def shapes(G):
+    return tuple(classify_shape(induced_on(G, c).graph) for c in connected_components(G))
 
 
 def test_classify_shape():
@@ -42,19 +52,18 @@ def test_classify_shape():
 
 def test_licci_by_shape():
     k3_p2 = build_graph(5, [(1, 2), (2, 3), (1, 3), (4, 5)])
-    assert licci_by_shape(k3_p2).licci
+    assert licci_by_shape(shapes(k3_p2))
     two_triangles = build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    assert not licci_by_shape(two_triangles).licci
-    assert not licci_by_shape(C4).licci
+    assert not licci_by_shape(shapes(two_triangles))
+    assert not licci_by_shape(shapes(C4))
     with pytest.raises(ValueError):
-        licci_by_shape(build_graph(3, []))
+        licci_verdict(build_graph(3, []))
 
 
 def test_isolated_vertices_flagged_as_trivial_paths():
     g = build_graph(4, [(1, 2), (1, 3), (2, 3)])  # K3 plus an isolated vertex
-    verdict = licci_by_shape(g)
-    assert verdict.licci
-    assert [s.kind for s in verdict.component_shapes] == [TRIANGLE_WITH_PATHS, PATH]
+    assert [s.kind for s in shapes(g)] == [TRIANGLE_WITH_PATHS, PATH]
+    assert licci_by_shape(shapes(g))
 
 
 def by_algebra(G):
@@ -102,8 +111,8 @@ def test_bipartite_corollary():
     # bipartite connected graphs are licci exactly when they are paths
     for g, licci in [(path_graph(5), True), (C4, False), (STAR, False)]:
         assert is_bipartite(g)
-        verdict = licci_by_shape(g)
-        assert verdict.licci == licci == (verdict.shape.kind == PATH)
+        (shape,) = shapes(g)
+        assert licci_by_shape((shape,)) == licci == (shape.kind == PATH)
 
 
 def test_routes_agree_enumerated():
@@ -123,6 +132,6 @@ def test_licci_counts_small():
         count = sum(
             1
             for g in enumerate_connected(n)
-            if g.edge_count() and licci_by_shape(g).licci
+            if g.edge_count() and licci_by_shape(shapes(g))
         )
         assert count == expected

@@ -23,7 +23,6 @@ from bei.graphs import (
     is_connected,
     is_decomposable,
     ohtani_completion,
-    restriction,
     simple_paths,
 )
 from bei.errors import TierExceededError
@@ -70,21 +69,21 @@ def test_build_graph_rejects_bad_input():
 def test_connected_components():
     assert connected_components(P3) == ((1, 2, 3),)
     assert connected_components(build_graph(3, [(1, 2)])) == ((1, 2), (3,))
-    rest = restriction(DIAMOND, [2, 3])
+    rest = induced_on(DIAMOND, [1, 4])
     assert connected_components(rest.graph) == ((1,), (2,))
     assert rest.labels == (1, 4)
 
 
-def test_restriction():
-    two = restriction(P3, [2])
+def test_induced_on():
+    two = induced_on(P3, [1, 3])
     assert two.graph.edge_count() == 0 and two.labels == (1, 3)
-    edge = restriction(K3, [1])
+    edge = induced_on(K3, [2, 3])
     assert edge.graph.edges() == ((1, 2),) and edge.labels == (2, 3)
-    # composition with disjoint removals
+    # composition: inducing twice equals inducing on the final set at once
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    once = restriction(g, [2])
-    twice = restriction(once.graph, [once.labels.index(4) + 1])
-    direct = restriction(g, [2, 4])
+    once = induced_on(g, [1, 3, 4, 5])
+    twice = induced_on(once.graph, [1, 2, 4])  # 1, 3 and 5 of g
+    direct = induced_on(g, [1, 3, 5])
     assert twice.graph == direct.graph
     assert tuple(once.labels[v - 1] for v in twice.labels) == direct.labels
 
@@ -171,10 +170,11 @@ def brute_paths(g, i, j):
 
 
 def test_simple_paths_examples():
-    assert [p.vertices for p in simple_paths(K3, 1, 3, True)] == [(1, 2, 3)]
+    assert [p.vertices for p in simple_paths(K3, 1, 3)] == [(1, 2, 3), (1, 3)]
     assert [p.vertices for p in simple_paths(P3, 1, 3)] == [(1, 2, 3)]
-    assert [p.vertices for p in simple_paths(DIAMOND, 2, 3, True)] == [
+    assert [p.vertices for p in simple_paths(DIAMOND, 2, 3)] == [
         (2, 1, 3),
+        (2, 3),
         (2, 4, 3),
     ]
 

@@ -2,7 +2,8 @@
 
 A function, method, property or field that only the tests read is dead
 weight in the program; its checks belong in the tests.  The exceptions are
-listed with the reason each one stays.
+listed with the reason each one stays.  Likewise every default parameter
+is both omitted and overridden by some call in the package.
 """
 
 import ast
@@ -110,3 +111,84 @@ def test_every_public_class_member_is_read_in_the_package():
         and everywhere[name] == attribute_reads(cls)[name]
     ]
     assert unused == []
+
+
+def has_decorator(func: ast.FunctionDef, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in func.decorator_list)
+
+
+def definitions_and_calls(tree):
+    """The function definitions of ``tree``, each with its class or None, and
+    its calls, each with the name it calls: ``f`` for ``f(...)`` and
+    ``x.f(...)``, and the class name for ``cls(...)`` inside a classmethod."""
+    defs, calls = [], []
+
+    def visit(node, cls, classmethod_of):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, None)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                defs.append((child, cls))
+                in_classmethod = cls and has_decorator(child, "classmethod")
+                visit(child, None, cls.name if in_classmethod else classmethod_of)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.append((classmethod_of if name == "cls" and classmethod_of else name, child))
+            visit(child, cls, classmethod_of)
+
+    visit(tree, None, None)
+    return defs, calls
+
+
+def defaulted_parameters(func: ast.FunctionDef, bound: bool):
+    """(name, index among a call's positional arguments, or None) of each
+    parameter with a default; a ``bound`` method's call does not pass self."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first - bound):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call: ast.Call, name: str, index) -> bool:
+    positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+    if len(positional) < len(call.args) or any(k.arg is None for k in call.keywords):
+        return True  # *args or **kwargs: it may pass the parameter
+    return (index is not None and len(positional) > index) or any(
+        k.arg == name for k in call.keywords
+    )
+
+
+def single_valued_parameters() -> list[str]:
+    """Defaulted parameters that every call in the package overrides, or
+    that no call overrides.  Calls are matched by name, and ``C(...)`` and
+    ``cls(...)`` in a classmethod of C call ``C.__init__``."""
+    defs, calls = [], []
+    for module, tree in package_trees().items():
+        d, c = definitions_and_calls(tree)
+        defs.extend((module, func, cls) for func, cls in d)
+        calls.extend(c)
+    single_valued = []
+    for module, func, cls in defs:
+        callee = cls.name if cls and func.name == "__init__" else func.name
+        bound = cls is not None and not has_decorator(func, "staticmethod")
+        sites = [call for name, call in calls if name == callee]
+        for param, index in defaulted_parameters(func, bound):
+            passed = [passes(call, param, index) for call in sites]
+            if all(passed) or not any(passed):
+                owner = f"{cls.name}." if cls else ""
+                single_valued.append(f"{module}.{owner}{func.name}({param})")
+    return single_valued
+
+
+def test_every_default_is_both_omitted_and_overridden_in_the_package():
+    """A default that every call overrides, or that none does, is a parameter
+    with one value in use: a constant or a required argument says the same
+    with one path."""
+    assert single_valued_parameters() == []
