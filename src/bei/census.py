@@ -13,7 +13,9 @@ per-graph function of ``(graph, census record or None)`` that returns None
 where it does not apply, else the list of its failure details; a population
 yields the (graph, record) pairs: connected classes with their census
 records, connected classes without records, or every class.  One driver,
-``_sweep``, counts the instances and builds the violations.
+``_sweep``, counts the instances and builds the violations.  Two sweeps,
+``licci-equivalence`` and ``disconnected-licci``, also check the number of
+licci classes at each n against its closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from multiprocessing import get_context
 from typing import Optional
 
 from . import classify
-from .classify import PATH, TRIANGLE_WITH_PATHS, CombinedVerdict, licci_verdict
+from .classify import PATH, CombinedVerdict, licci_verdict
 from .cliques import codim1_conditions, is_chordal, maximal_cliques
 from .degeneration import betti_table, initial_ideal, invariants
 from .errors import TierExceededError
@@ -429,20 +431,38 @@ def _bipartite_licci(g, rec):
     return ["bipartite mismatch"] if rec.licci != is_path else []
 
 
-def _disconnected_licci(g, _):
-    if is_connected(g):
-        return None
-    try:
-        verdict = licci_verdict(g)
-    except classify.RouteDisagreementError as exc:
-        return [str(exc)]
-    comps = connected_components(g)
-    kinds = [classify.classify_shape(induced_on(g, c).graph).kind for c in comps]
-    expected = all(k == PATH for k in kinds) or (
-        kinds.count(TRIANGLE_WITH_PATHS) == 1
-        and all(k in (PATH, TRIANGLE_WITH_PATHS) for k in kinds)
-    )
-    return ["shape rule"] if verdict.licci != expected else []
+def _partitions(total: int) -> int:
+    """p(total), the number of partitions of total into positive parts."""
+    ways = [1] + [0] * total
+    for part in range(1, total + 1):
+        for s in range(part, total + 1):
+            ways[s] += ways[s - part]
+    return ways[total]
+
+
+def _disconnected_licci(max_n, jobs):
+    """Routes agree on every class with an edge, connected or not, and the
+    licci count at n is p(n) - 1 + sum_{k=3..n} p3(k - 3) p(n - k): every
+    component a path (not all isolated vertices), or one triangle with pendant
+    paths on k vertices and paths on the rest."""
+    per_n = Counter()
+
+    def statement(g, _):
+        try:
+            per_n[g.n] += licci_verdict(g).licci
+        except classify.RouteDisagreementError as exc:
+            return [str(exc)]
+        return []
+
+    instances, violations = _sweep(_all_classes, statement)(max_n, jobs)
+    for n in range(2, max_n + 1):
+        expected = _partitions(n) - 1 + sum(
+            _partitions_at_most_3(k - 3) * _partitions(n - k) for k in range(3, n + 1)
+        )
+        if per_n[n] != expected:
+            detail = f"licci count at n={n}: {per_n[n]} != {expected}"
+            violations.append({"graph6": "", "detail": detail})
+    return instances, violations
 
 
 def _terai_duality(g, _):
@@ -553,7 +573,7 @@ THEOREMS = {
     "unmixed-gap": _sweep(_connected_data, _unmixed_gap),
     "decomposable-reg": _sweep(_connected_data, _decomposable_reg),
     "bipartite-licci": _sweep(_connected_data, _bipartite_licci),
-    "disconnected-licci": _sweep(_all_classes, _disconnected_licci),
+    "disconnected-licci": _disconnected_licci,
     "hu-necessary": _sweep(_connected_data, _hu_necessary),
     "terai-duality": _sweep(_connected_graphs, _terai_duality),
     **{tid: _oracle_sweep(check) for check, (tid, _, _) in _ORACLE_CHECKS.items()},

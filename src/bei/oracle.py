@@ -5,11 +5,22 @@ value is integral, a ``Fraction`` only after a division leaves a remainder
 (one helper, ``_quotient``, makes every division), and never a float.  The
 reduced bases of binomial edge ideals, and of the intersections built to
 certify them, have coefficients ±1 (tested for every labeled connected
-graph on n <= 4 vertices), so there no Fraction is ever made.  Buchberger
-runs with the normal selection strategy and both classical skip criteria
-under hard budgets (variable count, pair count, degree) that raise explicit
-resource errors instead of running away.  Intersections and colons go through
-one auxiliary elimination variable ranked above everything else.
+graph on n <= 4 vertices), so there no Fraction is ever made.
+
+Buchberger selects the pair whose lcm has the least total degree, then the
+least lcm in lex, and prunes pairs by the update of Gebauer and Moeller (J.
+Symbolic Comput. 6, 1988): criteria M and F on the new pairs of each new
+element, where a coprime pair drops the pairs it covers and is never reduced,
+and criterion B on the pairs still waiting.  One kernel, ``_reduce``, makes
+every reduction against a list of cached ``(lead, tail)`` reducers, kept in
+step with the basis; an S-polynomial is built from the two tails straight
+into its work dict (``_spoly_reduce``).  The final basis is still checked:
+every non-coprime S-polynomial of it must reduce to zero.  Hard budgets
+(variables, input and run degree, reduced pairs, basis size) raise explicit
+resource errors instead of running away.  Intersections and colons go
+through one auxiliary elimination variable ranked above everything else;
+the t-free part of that reduced basis is the reduced basis of the
+intersection, which is kept with it.
 
 Monomials are packed into one integer each (the packed exponent vectors of
 Monagan and Pearce, CASC 2007).  Every variable owns an 8-bit field, 7 value
@@ -233,17 +244,6 @@ class Polynomial:
                     del out[m]
         return Polynomial._make(self.ctx, out)
 
-    def shifted(self, mono: int):
-        """self * x^mono, for a packed monomial ``mono``."""
-        guard = self.ctx._guard
-        out = {}
-        for m, c in self.terms.items():
-            m += mono
-            if m & guard:
-                raise _overflow()
-            out[m] = c
-        return Polynomial._make(self.ctx, out)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -281,12 +281,9 @@ class Ideal:
         return self._gb
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Full remainder of f modulo a list of monic polynomials."""
-    ctx = f.ctx
-    guard = ctx._guard
-    reducers = [g._reducer() for g in basis]
-    work = dict(f.terms)
+def _reduce(work: dict, reducers: list, guard: int) -> dict:
+    """Full remainder of the terms in ``work``, which it consumes, modulo
+    ``reducers``: the ``_reducer()`` pairs of monic polynomials."""
     out: dict = {}
     while work:
         m = max(work)
@@ -307,18 +304,50 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         else:
             out[m] = c
-    return Polynomial._make(ctx, out)
+    return out
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf = f._lead()[0]
-    lg = g._lead()[0]
-    lcm = _lcm(lf, lg, f.ctx._guard)
-    return f.shifted(lcm - lf) - g.shifted(lcm - lg)
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Full remainder of f modulo a list of monic polynomials."""
+    guard = f.ctx._guard
+    reducers = [g._reducer() for g in basis]
+    return Polynomial._make(f.ctx, _reduce(dict(f.terms), reducers, guard))
+
+
+def _spoly_reduce(f: tuple, g: tuple, reducers: list, guard: int) -> dict:
+    """Remainder of the S-polynomial of two monic polynomials, given as their
+    ``_reducer()`` pairs: the shifted tails go straight into the work dict,
+    since the shifted leads cancel."""
+    lf, tail_f = f
+    lg, tail_g = g
+    lcm = _lcm(lf, lg, guard)
+    shift = lcm - lf
+    work = {}
+    for m, c in tail_f:
+        m += shift
+        if m & guard:
+            raise _overflow()
+        work[m] = c
+    shift = lcm - lg
+    for m, c in tail_g:
+        m += shift
+        if m & guard:
+            raise _overflow()
+        w = work.get(m, 0) - c
+        if w:
+            work[m] = w
+        elif m in work:
+            del work[m]
+    return _reduce(work, reducers, guard)
 
 
 def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis (monic, sorted by decreasing lead term)."""
+    """Reduced Groebner basis (monic, sorted by decreasing lead term).
+
+    Pairs are selected by (total degree of the lcm, lcm) and pruned by the
+    Gebauer-Moeller update; the pair budget counts the popped pairs that
+    survive it, each of which is reduced.
+    """
     ctx = I.ctx
     if ctx.nvars > MAX_EFFECTIVE_VARS:
         raise ResourceBudgetError(
@@ -330,69 +359,77 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
                 f"generator degree {g.degree()} exceeds budget {MAX_INPUT_DEGREE}"
             )
     guard = ctx._guard
-
-    def lead(g: Polynomial) -> int:
-        return g._lead()[0]
-
+    width = ctx.nvars
     basis: list[Polynomial] = []
-    for g in I.gens:
-        h = normal_form(g, basis)
-        if not h.is_zero():
-            basis.append(h.monic())
-    leads = [g._lead()[0] for g in basis]
-    pending: set[tuple[int, int]] = set()
+    reducers: list[tuple] = []
+    leads: list[int] = []
+    active: list[int] = []  # indices whose lead no later lead divides
+    live: dict[tuple[int, int], int] = {}  # pair -> lcm; the heap deletes lazily
     heap: list = []
 
-    def push_pairs(j: int) -> None:
-        lj = leads[j]
-        for i in range(j):
-            lcm = _lcm(leads[i], lj, guard)
-            heappush(heap, (lcm, i, j))
-            pending.add((i, j))
+    def update(h: Polynomial) -> None:
+        """Append h and its pairs, pruned by criteria M, F and B."""
+        j = len(basis)
+        basis.append(h)
+        reducers.append(h._reducer())
+        lh = reducers[-1][0]
+        leads.append(lh)
+        # criteria M and F: keep a new pair only when no other new pair's lcm
+        # divides its lcm (of equal lcms, the last one stays); a coprime pair
+        # stays, so it drops the pairs it covers, but it is never pushed
+        new = [(_lcm(leads[k], lh, guard), k) for k in active]
+        kept = []
+        for idx, (lcm, k) in enumerate(new):
+            top = lcm | guard
+            coprime = lcm == leads[k] + lh
+            if not coprime and (
+                any((top - other) & guard == guard for other, _ in new[idx + 1 :])
+                or any((top - other) & guard == guard for other, _, _ in kept)
+            ):
+                continue
+            kept.append((lcm, k, coprime))
+        # criterion B: drop a live pair when h's lead divides its lcm and
+        # both of its lcms with h differ from it
+        for (a, b), lcm in list(live.items()):
+            if (
+                _divides(lh, lcm, guard)
+                and lcm != _lcm(leads[a], lh, guard)
+                and lcm != _lcm(leads[b], lh, guard)
+            ):
+                del live[a, b]
+        for lcm, k, coprime in kept:
+            if not coprime:
+                live[k, j] = lcm
+                heappush(heap, (sum(lcm.to_bytes(width, "big")), lcm, k, j))
+        active[:] = [k for k in active if not _divides(lh, leads[k], guard)]
+        active.append(j)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in I.gens:
+        h = _reduce(dict(g.terms), reducers, guard)
+        if h:
+            update(Polynomial._make(ctx, h).monic())
 
     processed = 0
     while heap:
-        lcm, i, j = heappop(heap)
-        pending.discard((i, j))
+        _, _, i, j = heappop(heap)
+        if live.pop((i, j), None) is None:
+            continue  # deleted by criterion B
         processed += 1
         if processed > MAX_PAIRS:
             raise ResourceBudgetError(f"pair budget {MAX_PAIRS} exceeded")
-        if lcm == leads[i] + leads[j]:
-            continue  # coprime leads
-        top = lcm | guard
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (top - leads[k]) & guard == guard:  # leads[k] divides lcm
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        h = _spoly_reduce(reducers[i], reducers[j], reducers, guard)
+        if not h:
             continue
-        h = normal_form(_spoly(basis[i], basis[j]), basis)
-        if h.is_zero():
-            continue
+        h = Polynomial._make(ctx, h)
         if h.degree() > MAX_RUN_DEGREE:
             raise ResourceBudgetError(f"degree budget {MAX_RUN_DEGREE} exceeded")
-        h = h.monic()
-        basis.append(h)
-        leads.append(h._lead()[0])
+        update(h.monic())
         if len(basis) > MAX_BASIS:
             raise ResourceBudgetError(f"basis size budget {MAX_BASIS} exceeded")
-        push_pairs(len(basis) - 1)
 
-    # minimalize: keep only leads not divisible by another kept lead
-    minimal: list[Polynomial] = []
-    for f in sorted(basis, key=lead):
-        lf = f._lead()[0]
-        if not any(_divides(g._lead()[0], lf, guard) for g in minimal):
-            minimal.append(f)
+    # every new element was reduced by all earlier ones, so the active
+    # elements are the minimal basis
+    minimal = [basis[k] for k in active]
     # tail-reduce to the unique reduced basis
     changed = True
     while changed:
@@ -403,15 +440,15 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
             if r.terms != f.terms:
                 minimal[idx] = r.monic()
                 changed = True
-    minimal.sort(key=lead, reverse=True)
+    minimal.sort(key=lambda g: g._lead()[0], reverse=True)
     # self-check: every S-polynomial of the final basis reduces to zero
-    for i in range(len(minimal)):
-        li = minimal[i]._lead()[0]
-        for j in range(i + 1, len(minimal)):
-            lj = minimal[j]._lead()[0]
+    final = [f._reducer() for f in minimal]
+    for i, (li, _) in enumerate(final):
+        for j in range(i + 1, len(final)):
+            lj = final[j][0]
             if _lcm(li, lj, guard) == li + lj:
                 continue
-            if not normal_form(_spoly(minimal[i], minimal[j]), minimal).is_zero():
+            if _spoly_reduce(final[i], final[j], final, guard):
                 raise AssertionError("reduced basis failed the S-polynomial check")
     return tuple(minimal)
 
@@ -453,7 +490,11 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     gb = buchberger(Ideal(actx, gens))
     t_unit = 1 << (_FIELD_BITS * ctx.nvars)
     kept = [_project(p, ctx) for p in gb if p._lead()[0] < t_unit]
-    return Ideal(ctx, kept)
+    inter = Ideal(ctx, kept)
+    # elimination theorem: the t-free part of a reduced lex basis is the
+    # reduced basis of I ∩ J, and buchberger has already self-checked it
+    inter._gb = tuple(kept)
+    return inter
 
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:

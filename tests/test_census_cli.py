@@ -232,7 +232,7 @@ REGISTRY_CASES = [
     ("unmixed-gap", 5, 2),
     ("cutvertex-degree4", 5, 5),
     ("bipartite-licci", 5, 10),
-    ("disconnected-licci", 5, 17),
+    ("disconnected-licci", 5, 47),  # every class with an edge
     ("disconnected-bound", 5, 47),
     ("hu-necessary", 5, 30),  # every class counts, the licci ones are checked
     ("terai-duality", 5, 30),
@@ -308,6 +308,36 @@ def test_sweeps_report_violations(monkeypatch):
         {"graph6": "BW", "detail": "primal reg 2 pd 2, dual reg 3 pd 2"},
         {"graph6": "Bw", "detail": "primal reg 1 pd 2, dual reg 2 pd 2"},
     )
+
+
+def test_disconnected_licci_counts_the_licci_classes(monkeypatch):
+    counts = ["licci count at n=3: 2 != 3", "licci count at n=4: 4 != 6"]
+    # every route agrees that only all-path graphs are licci
+    real = census.licci_verdict
+
+    def paths_only(g):
+        verdict = real(g)
+        kinds = {s.kind for s in verdict.component_shapes}
+        return dataclasses.replace(verdict, licci=kinds == {classify.PATH})
+
+    monkeypatch.setattr(census, "licci_verdict", paths_only)
+    rep = run_verification("disconnected-licci", 4, jobs=1)
+    assert rep.instances == 14
+    assert [v["detail"] for v in rep.violations] == counts
+    monkeypatch.undo()
+    # a negated shape rule: the routes disagree on every class, and no class
+    # is counted as licci
+    shape = classify.licci_by_shape
+    monkeypatch.setattr(classify, "licci_by_shape", lambda shapes: not shape(shapes))
+    rep = run_verification("disconnected-licci", 4, jobs=1)
+    details = [v["detail"] for v in rep.violations]
+    assert rep.instances == 14 and len(details) == 14 + 3
+    assert all(d.startswith("licci routes disagree") for d in details[:14])
+    assert details[14:] == [
+        "licci count at n=2: 0 != 1",
+        "licci count at n=3: 0 != 3",
+        "licci count at n=4: 0 != 6",
+    ]
 
 
 def test_cli_oracle_reports_violations(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bei.errors import ResourceBudgetError
-from bei import oracle
+from bei import census, oracle
 from bei.graphs import build_graph, cut_vertices, is_connected
 from bei.oracle import (
     MAX_INPUT_DEGREE,
@@ -279,6 +279,13 @@ def test_packed_monomials_match_exponent_tuples(case):
         assert ctx._unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
 
 
+def power_of(f, k):
+    out = f
+    for _ in range(k - 1):
+        out = out * f
+    return out
+
+
 def test_exponent_past_the_field_raises():
     ctx = PolyContext(2)
     big = (127, 0, 0, 0)
@@ -288,8 +295,6 @@ def test_exponent_past_the_field_raises():
     f = Polynomial(ctx, {(64, 0, 0, 0): 1})
     with pytest.raises(ResourceBudgetError):
         f * f  # x1^128
-    with pytest.raises(ResourceBudgetError):
-        f.shifted(ctx._pack((64, 0, 0, 0)))
     # lex reduction of a non-homogeneous input raises the degree:
     # x1^6 -> x2^30 -> y1^150 modulo x1 - x2^5, x2 - y1^5
     x1, x2, y1 = (var(ctx, i) for i in range(3))
@@ -300,6 +305,15 @@ def test_exponent_past_the_field_raises():
         normal_form(power, chain)
     with pytest.raises(ResourceBudgetError):
         buchberger(Ideal(ctx, chain + [power]))
+    # an S-polynomial shift: the pair (x1*y2^3, x1 - y2^125) shifts the tail
+    # y2^125 by y2^3; without x1*y2^3 the same generators reduce fine
+    y2 = var(ctx, 3)
+    gens = [x1 * power_of(y2, 3), y1 - power_of(y2, 5), x2 - power_of(y1, 5)]
+    gens.append(x1 - power_of(x2, 5))  # reduces to x1 - y2^125
+    assert max(g.degree() for g in gens) <= MAX_INPUT_DEGREE
+    assert buchberger(Ideal(ctx, gens[1:]))[0] == x1 - power_of(y2, 125)
+    with pytest.raises(ResourceBudgetError):
+        buchberger(Ideal(ctx, gens))
 
 
 @st.composite
@@ -436,3 +450,98 @@ def test_edge_ideal_bases_stay_integral(monkeypatch):
     assert any(aux for aux, _ in bases) and any(not aux for aux, _ in bases)
     for _, gb in bases:
         assert all(type(c) is int for c in coefficients(gb))
+
+
+# ---------------------------------------------------------------------------
+# buchberger against a reference: every pair, no criteria, plain normal_form
+
+
+def reference_buchberger(ctx, gens):
+    basis = [g.monic() for g in gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # the pair whose lcm has the least degree first
+        _, lcm, i, j = min(
+            (sum(lcm), lcm, i, j)
+            for i, j in pairs
+            for lcm in [tuple(map(max, basis[i].lt()[0], basis[j].lt()[0]))]
+        )
+        pairs.remove((i, j))
+        lf, lg = basis[i].lt()[0], basis[j].lt()[0]
+        shift_f = Polynomial(ctx, {tuple(a - b for a, b in zip(lcm, lf)): 1})
+        shift_g = Polynomial(ctx, {tuple(a - b for a, b in zip(lcm, lg)): 1})
+        h = normal_form(shift_f * basis[i] - shift_g * basis[j], basis)
+        if not h.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(h.monic())
+    minimal = []
+    for f in sorted(basis, key=lambda p: p.lt()[0]):
+        lead = f.lt()[0]
+        if not any(all(a <= b for a, b in zip(g.lt()[0], lead)) for g in minimal):
+            minimal.append(f)
+    reduced = [normal_form(f, minimal[:k] + minimal[k + 1 :]) for k, f in enumerate(minimal)]
+    return tuple(sorted(reduced, key=lambda p: p.lt()[0], reverse=True))
+
+
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_matches_the_reference(case):
+    ctx, gens = case
+    assert buchberger(Ideal(ctx, gens)) == reference_buchberger(ctx, gens)
+
+
+def test_check_ideals_match_the_reference(monkeypatch):
+    """Every ideal that the n <= 4 primary-decomposition and colon checks pass
+    to buchberger, with t or without, and every basis that an intersection
+    keeps from its elimination."""
+    runs, intersections = [], []
+    original_buchberger = oracle.buchberger
+    original_intersection = oracle.ideal_intersection
+
+    def recording(I):
+        gb = original_buchberger(I)
+        runs.append((I, gb))
+        return gb
+
+    def recording_intersection(I, J):
+        inter = original_intersection(I, J)
+        intersections.append(inter)
+        return inter
+
+    monkeypatch.setattr(oracle, "buchberger", recording)
+    monkeypatch.setattr(oracle, "ideal_intersection", recording_intersection)
+    for n in range(2, 5):
+        for g in census._labeled_connected(n):
+            assert verify_primary_decomposition(g)
+            assert all(verify_colon_theorem(g, e) for e in g.edges())
+    assert any(I.ctx.aux for I, _ in runs) and any(not I.ctx.aux for I, _ in runs)
+    for I, gb in runs:
+        assert gb == reference_buchberger(I.ctx, I.gens)
+    assert len(intersections) > 100
+    for inter in intersections:
+        assert inter._gb == original_buchberger(Ideal(inter.ctx, inter.gens))
+
+
+# ---------------------------------------------------------------------------
+# the pair and basis budgets
+
+STAR = build_graph(4, [(1, 4), (2, 4), (3, 4)])  # 3 generators, 6 in the basis
+
+
+def test_pair_budget_counts_the_reduced_pairs(monkeypatch):
+    # 8 pairs of the star's run survive the Gebauer-Moeller criteria
+    I = binomial_edge_ideal(STAR)
+    monkeypatch.setattr(oracle, "MAX_PAIRS", 7)
+    with pytest.raises(ResourceBudgetError, match="pair budget 7"):
+        buchberger(I)
+    monkeypatch.setattr(oracle, "MAX_PAIRS", 8)
+    assert len(buchberger(I)) == 6
+
+
+def test_basis_budget(monkeypatch):
+    I = binomial_edge_ideal(STAR)
+    monkeypatch.setattr(oracle, "MAX_BASIS", 5)
+    with pytest.raises(ResourceBudgetError, match="basis size budget 5"):
+        buchberger(I)
+    monkeypatch.setattr(oracle, "MAX_BASIS", 6)
+    assert len(buchberger(I)) == 6
