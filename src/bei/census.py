@@ -8,14 +8,16 @@ are replaced atomically, and a sidecar index pins the pipeline version and
 the JSONL's sha256; records from another version or from bytes that do not
 match the hash are recomputed rather than reused.
 
-A theorem sweep pairs a statement with a population.  A statement is a
-per-graph function of ``(graph, census record or None)`` that returns None
-where it does not apply, else the list of its failure details; a population
-yields the (graph, record) pairs: connected classes with their census
-records, connected classes without records, or every class.  One driver,
-``_sweep``, counts the instances and builds the violations.  Two sweeps,
-``licci-equivalence`` and ``disconnected-licci``, also check the number of
-licci classes at each n against its closed form.
+A theorem sweep is one row of ``_SWEEPS``: its classes (the connected
+classes with edges, or every class with an edge), a statement, and
+optionally the closed form of its instance count at each n.  A statement
+takes the graph alone and returns None where it does not apply, else the
+list of its failure details; one that needs the census record calls
+``analyze`` itself, after any cheap applicability test.  One driver,
+``_sweep``, runs the statement on every class in the census pool, keyed by
+the class's canonical graph6, counts the instances and builds the
+violations.  The two licci sweeps count the licci classes and compare each
+n with its closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from multiprocessing import get_context
-from typing import Optional
 
 from . import classify
 from .classify import PATH, CombinedVerdict, licci_verdict
@@ -128,17 +129,22 @@ def analyze(G: Graph) -> CensusRecord:
         cm=rec.cm,
         shape=shape,
         licci=verdict.licci,
-        routes_agree=verdict.routes_agree,
+        routes_agree=True,  # licci_verdict raises otherwise; the byte gate keeps the field
     )
 
 
-def _worker(g6: str) -> str:
+def _in_class(g6: str, fn):
+    """fn of the graph that g6 encodes; an error names the class, since
+    pool.map re-raises the bare exception."""
     try:
-        return analyze(parse_graph6(g6.encode("ascii"))).to_json()
+        return fn(parse_graph6(g6.encode("ascii")))
     except Exception as exc:
-        # pool.map re-raises the bare exception: name the class, keep the type
         exc.args = (f"{exc} (class {g6})",) + exc.args[1:]
         raise
+
+
+def _worker(g6: str) -> str:
+    return _in_class(g6, analyze).to_json()
 
 
 def census_graphs(max_n: int) -> list[Graph]:
@@ -169,25 +175,26 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
+def _map(fn, items: list, jobs: int) -> list:
+    """fn over items, in order: a fork pool of ``_pool_size`` workers, or
+    serial for one worker or at most 8 items."""
+    workers = _pool_size(jobs, len(items))
+    if workers > 1 and len(items) > 8:
+        with get_context("fork").Pool(workers) as pool:
+            return pool.map(fn, items, chunksize=8)
+    return [fn(item) for item in items]
+
+
 def compute_records(
-    max_n: int,
-    jobs: int,
-    reuse: Optional[dict[str, str]] = None,
+    max_n: int, jobs: int, reuse: dict[str, str]
 ) -> dict[str, CensusRecord]:
     """Records for every connected class with edges, keyed by canonical graph6."""
     graphs = census_graphs(max_n)
     # each enumerated class comes canonically labeled: its graph6 is its form
     keys = [emit_graph6(g).decode("ascii") for g in graphs]
-    todo = [k for k in keys if not (reuse and k in reuse)]
-    lines: dict[str, str] = {k: reuse[k] for k in keys if reuse and k in reuse}
-    if todo:
-        workers = _pool_size(jobs, len(todo))
-        if workers > 1 and len(todo) > 8:
-            with get_context("fork").Pool(workers) as pool:
-                results = pool.map(_worker, todo, chunksize=8)
-        else:
-            results = [_worker(k) for k in todo]
-        lines.update(zip(todo, results))
+    lines = {k: reuse[k] for k in keys if k in reuse}
+    todo = [k for k in keys if k not in lines]
+    lines.update(zip(todo, _map(_worker, todo, jobs)))
     return {k: CensusRecord.from_json(lines[k]) for k in keys}
 
 
@@ -230,7 +237,7 @@ def run_census(max_n: int, out_path: str, jobs: int) -> list[CensusRecord]:
     """
     idx_path = out_path + ".idx"
     reuse = _read_reusable(out_path, idx_path)
-    records = compute_records(max_n, jobs, reuse or None)
+    records = compute_records(max_n, jobs, reuse)
     ordered = sorted(
         records.values(), key=lambda r: (r.n, r.graph6.encode("ascii"))
     )
@@ -273,22 +280,6 @@ class VerificationReport:
         }
 
 
-def _connected_data(max_n: int, jobs) -> list[tuple[Graph, CensusRecord]]:
-    """(graph, record) pairs for connected classes with edges."""
-    records = compute_records(max_n, jobs)
-    graphs = census_graphs(max_n)
-    return [(g, records[emit_graph6(g).decode("ascii")]) for g in graphs]
-
-
-def _connected_graphs(max_n: int, jobs) -> list[tuple[Graph, None]]:
-    """Connected classes with edges, without records."""
-    return [(g, None) for g in census_graphs(max_n)]
-
-
-def _all_classes(max_n: int, jobs) -> list[tuple[Graph, None]]:
-    return [(g, None) for g in all_graph_classes(max_n)]
-
-
 def all_graph_classes(max_n: int) -> list[Graph]:
     """Every isomorphism class (connected or not) with at least one edge;
     ``max_n`` above the enumeration tier is refused before any enumeration."""
@@ -300,29 +291,8 @@ def all_graph_classes(max_n: int) -> list[Graph]:
     return out
 
 
-def _sweep(population, statement):
-    """The sweep of one statement over a population: (instances, violations).
-
-    A statement returns None where it does not apply to a graph, else the
-    list of its failure details there (empty when it holds).
-    """
-
-    def sweep(max_n, jobs):
-        instances, violations = 0, []
-        for g, rec in population(max_n, jobs):
-            details = statement(g, rec)
-            if details is None:
-                continue
-            instances += 1
-            if details:
-                g6 = canonical_form(g).decode("ascii")
-                violations.extend({"graph6": g6, "detail": d} for d in details)
-        return instances, violations
-
-    return sweep
-
-
-def _naoki_bound(g, rec):
+def _naoki_bound(g):
+    rec = analyze(g)
     cl = maximal_cliques(g)
     bound = g.n - cl.dim
     details = [f"reg {rec.reg} > n-dim {bound}"] if rec.reg > bound else []
@@ -333,17 +303,23 @@ def _naoki_bound(g, rec):
     ]
 
 
-def _disconnected_bound(g, _):
+def _disconnected_bound(g):
     comps = connected_components(g)
     dims = sum(maximal_cliques(induced_on(g, c).graph).dim for c in comps)
     reg = invariants(g).reg
     return [f"reg {reg} > {g.n - dims}"] if reg > g.n - dims else []
 
 
-def _regmax_path(g, rec):
+def _regmax_path(g):
+    rec = analyze(g)
     is_path = rec.shape.get("kind") == PATH
     top = rec.reg == g.n - 1
     return [f"reg {rec.reg}, shape {rec.shape}"] if top != is_path else []
+
+
+def _licci(g):
+    """Counted on the licci classes; ``analyze`` raises if the routes disagree."""
+    return [] if analyze(g).licci else None
 
 
 def _partitions_at_most_3(total: int) -> int:
@@ -356,60 +332,68 @@ def _partitions_at_most_3(total: int) -> int:
     return count
 
 
-def _routes_agree(g, rec):
-    return [] if rec.routes_agree else ["routes disagree"]
+def _partitions(total: int) -> int:
+    """p(total), the number of partitions of total into positive parts."""
+    ways = [1] + [0] * total
+    for part in range(1, total + 1):
+        for s in range(part, total + 1):
+            ways[s] += ways[s - part]
+    return ways[total]
 
 
-def _licci_equivalence(max_n, jobs):
-    """Routes agree on every class, and the licci count at n is 1 + p3(n - 3)."""
-    data = _connected_data(max_n, jobs)
-    instances, violations = _sweep(lambda *_: data, _routes_agree)(max_n, jobs)
-    per_n = Counter(g.n for g, rec in data if rec.licci)
-    for n in range(2, max_n + 1):
-        expected = 1 + (_partitions_at_most_3(n - 3) if n >= 3 else 0)
-        if per_n[n] != expected:
-            detail = f"licci count at n={n}: {per_n[n]} != {expected}"
-            violations.append({"graph6": "", "detail": detail})
-    return instances, violations
+def _licci_connected(n: int) -> int:
+    """Licci connected classes on n vertices, 1 + p3(n - 3): the path, and a
+    triangle with pendant paths of lengths r >= s >= t summing to n - 3."""
+    return 1 + _partitions_at_most_3(n - 3)
 
 
-def _chordal_licci(g, rec):
-    if not rec.chordal:
+def _licci_any(n: int) -> int:
+    """Licci classes with an edge on n vertices, p(n) - 1 + sum_{k=3..n}
+    p3(k - 3) p(n - k): every component a path (not all isolated vertices),
+    or one triangle with pendant paths on k vertices and paths on the rest."""
+    return _partitions(n) - 1 + sum(
+        _partitions_at_most_3(k - 3) * _partitions(n - k) for k in range(3, n + 1)
+    )
+
+
+def _chordal_licci(g):
+    if not is_chordal(g)[0]:
         return None
-    details = []
-    if (rec.unmixed and rec.reg >= g.n - 2) != rec.licci:
-        details.append("unmixed route differs")
-    if rec.reg > rec.c_cliques:
-        details.append(f"reg {rec.reg} > c(G) {rec.c_cliques}")
-    return details
+    rec = analyze(g)
+    return [f"reg {rec.reg} > c(G) {rec.c_cliques}"] if rec.reg > rec.c_cliques else []
 
 
-def _codim1(g, _):
+def _codim1(g):
     if not is_chordal(g)[0]:
         return None
     conds = codim1_conditions(g)
     return [str(conds)] if conds.holds != (maximal_cliques(g).count == g.n - 2) else []
 
 
-def _cutvertex_degree4(g, rec):
+def _cutvertex_degree4(g):
     if not any(g.degree(v) >= 4 for v in cut_vertices(g)):
         return None
+    rec = analyze(g)
     return [f"reg {rec.reg}"] if rec.reg > g.n - 3 else []
 
 
-def _unmixed_gap(g, rec):
-    if g.n < 4 or not rec.unmixed or is_decomposable(g) is not None:
+def _unmixed_gap(g):
+    if g.n < 4 or is_decomposable(g) is not None:
         return None
     vertices = range(1, g.n + 1)
     if not any(g.degree(v) == 2 and g.has_edge(*g.neighbors(v)) for v in vertices):
         return None
+    rec = analyze(g)
+    if not rec.unmixed:
+        return None
     return [f"reg {rec.reg}"] if rec.reg > g.n - 3 else []
 
 
-def _decomposable_reg(g, rec):
+def _decomposable_reg(g):
     split = is_decomposable(g)
     if split is None:
         return None
+    rec = analyze(g)
     _, part1, part2 = split
     inv1 = invariants(part1.graph)
     inv2 = invariants(part2.graph)
@@ -424,48 +408,15 @@ def _decomposable_reg(g, rec):
     return details
 
 
-def _bipartite_licci(g, rec):
+def _bipartite_licci(g):
     if not is_bipartite(g):
         return None
+    rec = analyze(g)
     is_path = rec.shape.get("kind") == PATH
     return ["bipartite mismatch"] if rec.licci != is_path else []
 
 
-def _partitions(total: int) -> int:
-    """p(total), the number of partitions of total into positive parts."""
-    ways = [1] + [0] * total
-    for part in range(1, total + 1):
-        for s in range(part, total + 1):
-            ways[s] += ways[s - part]
-    return ways[total]
-
-
-def _disconnected_licci(max_n, jobs):
-    """Routes agree on every class with an edge, connected or not, and the
-    licci count at n is p(n) - 1 + sum_{k=3..n} p3(k - 3) p(n - k): every
-    component a path (not all isolated vertices), or one triangle with pendant
-    paths on k vertices and paths on the rest."""
-    per_n = Counter()
-
-    def statement(g, _):
-        try:
-            per_n[g.n] += licci_verdict(g).licci
-        except classify.RouteDisagreementError as exc:
-            return [str(exc)]
-        return []
-
-    instances, violations = _sweep(_all_classes, statement)(max_n, jobs)
-    for n in range(2, max_n + 1):
-        expected = _partitions(n) - 1 + sum(
-            _partitions_at_most_3(k - 3) * _partitions(n - k) for k in range(3, n + 1)
-        )
-        if per_n[n] != expected:
-            detail = f"licci count at n={n}: {per_n[n]} != {expected}"
-            violations.append({"graph6": "", "detail": detail})
-    return instances, violations
-
-
-def _terai_duality(g, _):
+def _terai_duality(g):
     """reg and pd of the initial ideal's own Betti table equal the ones that
     ``invariants`` reads off the Alexander dual's table."""
     primal = betti_table(initial_ideal(g))
@@ -475,10 +426,59 @@ def _terai_duality(g, _):
     return [f"primal reg {primal.reg} pd {primal.pd}, dual reg {dual.reg} pd {dual.pd}"]
 
 
-def _hu_necessary(g, rec):
+def _hu_necessary(g):
     """Counted on every class, checked on the licci ones."""
+    rec = analyze(g)
     height = 2 * g.n - rec.dim
     return ["bound fails"] if rec.licci and rec.reg < (height - 1) * (2 - 1) else []
+
+
+# theorem id -> (classes, statement, closed-form instance count at each n or None)
+_SWEEPS = {
+    "naoki-bound": (census_graphs, _naoki_bound, None),
+    "disconnected-bound": (all_graph_classes, _disconnected_bound, None),
+    "regmax-path": (census_graphs, _regmax_path, None),
+    "licci-equivalence": (census_graphs, _licci, _licci_connected),
+    "chordal-licci": (census_graphs, _chordal_licci, None),
+    "codim1": (census_graphs, _codim1, None),
+    "cutvertex-degree4": (census_graphs, _cutvertex_degree4, None),
+    "unmixed-gap": (census_graphs, _unmixed_gap, None),
+    "decomposable-reg": (census_graphs, _decomposable_reg, None),
+    "bipartite-licci": (census_graphs, _bipartite_licci, None),
+    "disconnected-licci": (all_graph_classes, _licci, _licci_any),
+    "hu-necessary": (census_graphs, _hu_necessary, None),
+    "terai-duality": (census_graphs, _terai_duality, None),
+}
+
+
+def _sweep_worker(item: tuple[str, str]):
+    theorem_id, g6 = item
+    return _in_class(g6, _SWEEPS[theorem_id][1])
+
+
+def _sweep(theorem_id: str, max_n: int, jobs: int):
+    """One statement over its classes in the census pool: (instances, violations).
+
+    A statement returns None where it does not apply to a graph, else the
+    list of its failure details there (empty when it holds).  With a count,
+    the instances at each n from 2 must also equal it.
+    """
+    classes, _, count = _SWEEPS[theorem_id]
+    graphs = classes(max_n)
+    # each enumerated class comes canonically labeled: its graph6 is its form
+    keys = [emit_graph6(g).decode("ascii") for g in graphs]
+    results = _map(_sweep_worker, [(theorem_id, k) for k in keys], jobs)
+    per_n, violations = Counter(), []
+    for g, key, details in zip(graphs, keys, results):
+        if details is not None:
+            per_n[g.n] += 1
+            violations.extend({"graph6": key, "detail": d} for d in details)
+    if count:
+        for n in range(2, max_n + 1):
+            if per_n[n] != count(n):
+                detail = f"licci count at n={n}: {per_n[n]} != {count(n)}"
+                violations.append({"graph6": "", "detail": detail})
+    return sum(per_n.values()), violations
 
 
 def _labeled_graph(n: int, bits: int) -> Graph:
@@ -557,36 +557,22 @@ def write_fixtures(fixtures: list[dict], path: str) -> None:
     _replace_atomically(path, data.encode("utf-8"))
 
 
-def _oracle_sweep(check: str):
-    """A theorem-sweep entry running one oracle campaign; fixtures are dropped."""
-    return lambda max_n, jobs: _oracle_campaign(check, max_n)[:2]
+_ORACLE_IDS = {tid: check for check, (tid, _, _) in _ORACLE_CHECKS.items()}
 
-
-THEOREMS = {
-    "naoki-bound": _sweep(_connected_data, _naoki_bound),
-    "disconnected-bound": _sweep(_all_classes, _disconnected_bound),
-    "regmax-path": _sweep(_connected_data, _regmax_path),
-    "licci-equivalence": _licci_equivalence,
-    "chordal-licci": _sweep(_connected_data, _chordal_licci),
-    "codim1": _sweep(_connected_graphs, _codim1),
-    "cutvertex-degree4": _sweep(_connected_data, _cutvertex_degree4),
-    "unmixed-gap": _sweep(_connected_data, _unmixed_gap),
-    "decomposable-reg": _sweep(_connected_data, _decomposable_reg),
-    "bipartite-licci": _sweep(_connected_data, _bipartite_licci),
-    "disconnected-licci": _disconnected_licci,
-    "hu-necessary": _sweep(_connected_data, _hu_necessary),
-    "terai-duality": _sweep(_connected_graphs, _terai_duality),
-    **{tid: _oracle_sweep(check) for check, (tid, _, _) in _ORACLE_CHECKS.items()},
-}
+# every id that ``bei verify`` offers: the sweeps, then the oracle campaigns
+THEOREMS = [*_SWEEPS, *_ORACLE_IDS]
 
 
 def run_verification(theorem_id: str, max_n: int, jobs: int) -> VerificationReport:
-    if theorem_id not in THEOREMS:
+    start = time.monotonic()
+    if theorem_id in _SWEEPS:
+        instances, violations = _sweep(theorem_id, max_n, jobs)
+    elif theorem_id in _ORACLE_IDS:
+        instances, violations, _ = _oracle_campaign(_ORACLE_IDS[theorem_id], max_n)
+    else:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREMS)}"
         )
-    start = time.monotonic()
-    instances, violations = THEOREMS[theorem_id](max_n, jobs)
     return VerificationReport(
         theorem=theorem_id,
         tier=max_n,

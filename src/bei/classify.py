@@ -131,7 +131,6 @@ class CombinedVerdict:
     component_shapes: tuple[Shape, ...]
     witness: InvariantRecord
     chordal: bool
-    routes_agree: bool
 
 
 def licci_verdict(G: Graph) -> CombinedVerdict:
@@ -161,5 +160,4 @@ def licci_verdict(G: Graph) -> CombinedVerdict:
         component_shapes=shapes,
         witness=rec,
         chordal=chordal,
-        routes_agree=True,
     )

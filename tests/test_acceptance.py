@@ -53,14 +53,14 @@ def criterion(num, desc):
 
 @pytest.fixture(scope="session")
 def records6():
-    return compute_records(6, jobs=JOBS)
+    return compute_records(6, jobs=JOBS, reuse={})
 
 
 @pytest.fixture(scope="session")
 def records_full():
     tier = min(7, ACCEPT_MAX_N)
     start = time.monotonic()
-    recs = compute_records(tier, jobs=JOBS)
+    recs = compute_records(tier, jobs=JOBS, reuse={})
     _timings["full_census"] = time.monotonic() - start
     return tier, recs
 
@@ -200,8 +200,7 @@ def test_criterion_08_disconnected():
                 for c in connected_components(g)
             )
             assert rec.reg <= g.n - dim_sum
-            verdict = licci_verdict(g)  # raises on shape/algebra disagreement
-            assert verdict.routes_agree
+            licci_verdict(g)  # raises on shape/algebra disagreement
         disconnected = [g for g in classes if not is_connected(g)]
         assert len(disconnected) == 60
 

@@ -20,7 +20,7 @@ from bei.census import (
 )
 from bei.cli import main
 from bei.cliques import is_chordal
-from bei.errors import TierExceededError
+from bei.errors import ResourceBudgetError, RouteDisagreementError, TierExceededError
 from bei.graphs import build_graph
 
 
@@ -193,7 +193,7 @@ def test_compute_records_keys_classes_without_canonical_form(monkeypatch):
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("bei.") and getattr(mod, "canonical_form", None) is original:
             monkeypatch.setattr(mod, "canonical_form", counted)
-    records = census.compute_records(5, jobs=1)
+    records = census.compute_records(5, jobs=1, reuse={})
     assert len(records) == 30
     assert len(calls) == 30
 
@@ -201,7 +201,7 @@ def test_compute_records_keys_classes_without_canonical_form(monkeypatch):
 def test_census_counts():
     import bei.census as census_mod
 
-    records = census_mod.compute_records(6, jobs=2)
+    records = census_mod.compute_records(6, jobs=2, reuse={})
     assert len(records) == 142
     per_n = {}
     for r in records.values():
@@ -215,7 +215,7 @@ def test_run_verification_reports(monkeypatch):
     def no_records(*args, **kwargs):
         raise AssertionError("codim1 needs no census records")
 
-    monkeypatch.setattr(census, "compute_records", no_records)
+    monkeypatch.setattr(census, "analyze", no_records)
     rep = run_verification("codim1", 5, jobs=1)
     assert rep.ok() and rep.instances == 23
     assert rep.to_json()["violations"] == []
@@ -226,13 +226,13 @@ def test_run_verification_reports(monkeypatch):
 REGISTRY_CASES = [
     ("naoki-bound", 4, 9),
     ("regmax-path", 4, 9),
-    ("licci-equivalence", 4, 9),
+    ("licci-equivalence", 4, 5),  # the licci classes
     ("chordal-licci", 4, 8),
     ("decomposable-reg", 5, 10),
     ("unmixed-gap", 5, 2),
     ("cutvertex-degree4", 5, 5),
     ("bipartite-licci", 5, 10),
-    ("disconnected-licci", 5, 47),  # every class with an edge
+    ("disconnected-licci", 5, 21),  # the licci classes, connected or not
     ("disconnected-bound", 5, 47),
     ("hu-necessary", 5, 30),  # every class counts, the licci ones are checked
     ("terai-duality", 5, 30),
@@ -254,19 +254,45 @@ def test_every_registry_entry_runs_clean(theorem, max_n, instances):
     assert rep.instances == instances
 
 
-def _raise_every_reg(monkeypatch):
-    """Every census record reports reg + 1, so record-based sweeps must fail."""
-    real = census.compute_records
+def _plant(name, edit):
+    """A planting under which ``census.<name>`` returns edit(its true result)."""
 
-    def raised(*args, **kwargs):
-        records = real(*args, **kwargs)
-        return {k: dataclasses.replace(r, reg=r.reg + 1) for k, r in records.items()}
+    def plant(monkeypatch):
+        real = getattr(census, name)
+        monkeypatch.setattr(census, name, lambda g: edit(real(g)))
 
-    monkeypatch.setattr(census, "compute_records", raised)
+    return plant
+
+
+def _reg_by(delta):
+    return lambda r: dataclasses.replace(r, reg=r.reg + delta)
+
+
+def _flip(field):
+    return lambda r: dataclasses.replace(r, **{field: not getattr(r, field)})
+
+
+# sweep id -> a fault planted in the name its statement reads
+PLANTED_FAULTS = {
+    **dict.fromkeys(
+        ["naoki-bound", "regmax-path", "chordal-licci", "cutvertex-degree4",
+         "unmixed-gap", "decomposable-reg"],
+        _plant("analyze", _reg_by(1)),
+    ),
+    "hu-necessary": _plant("analyze", _reg_by(-1)),
+    **dict.fromkeys(
+        ["licci-equivalence", "bipartite-licci", "disconnected-licci"],
+        _plant("analyze", _flip("licci")),
+    ),
+    **dict.fromkeys(
+        ["disconnected-bound", "terai-duality"], _plant("invariants", _reg_by(1))
+    ),
+    "codim1": _plant("codim1_conditions", _flip("holds")),
+}
 
 
 def test_sweeps_report_violations(monkeypatch):
-    _raise_every_reg(monkeypatch)
+    _plant("analyze", _reg_by(1))(monkeypatch)  # every record reports reg + 1
     rep = run_verification("naoki-bound", 3, jobs=1)
     assert rep.instances == 3 and not rep.ok()
     assert rep.violations == (
@@ -322,22 +348,71 @@ def test_disconnected_licci_counts_the_licci_classes(monkeypatch):
 
     monkeypatch.setattr(census, "licci_verdict", paths_only)
     rep = run_verification("disconnected-licci", 4, jobs=1)
-    assert rep.instances == 14
+    assert rep.instances == 7
     assert [v["detail"] for v in rep.violations] == counts
     monkeypatch.undo()
-    # a negated shape rule: the routes disagree on every class, and no class
-    # is counted as licci
+    # a negated shape rule: the routes disagree, and the sweep raises
     shape = classify.licci_by_shape
     monkeypatch.setattr(classify, "licci_by_shape", lambda shapes: not shape(shapes))
-    rep = run_verification("disconnected-licci", 4, jobs=1)
-    details = [v["detail"] for v in rep.violations]
-    assert rep.instances == 14 and len(details) == 14 + 3
-    assert all(d.startswith("licci routes disagree") for d in details[:14])
-    assert details[14:] == [
-        "licci count at n=2: 0 != 1",
-        "licci count at n=3: 0 != 3",
-        "licci count at n=4: 0 != 6",
-    ]
+    with pytest.raises(RouteDisagreementError, match=r"\(class A_\)$"):
+        run_verification("disconnected-licci", 4, jobs=1)
+
+
+def test_planted_faults_cover_every_sweep():
+    assert set(PLANTED_FAULTS) == set(census._SWEEPS)
+
+
+@pytest.mark.parametrize("theorem", sorted(PLANTED_FAULTS))
+def test_every_sweep_fails_on_a_planted_fault(theorem, monkeypatch):
+    PLANTED_FAULTS[theorem](monkeypatch)
+    rep = run_verification(theorem, 6, jobs=1)
+    assert rep.instances and not rep.ok()
+
+
+@pytest.mark.parametrize(
+    "theorem", ["codim1", "terai-duality", "disconnected-bound", "disconnected-licci"]
+)
+def test_sweep_pool_matches_serial(theorem, monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)  # --jobs 2 starts a pool of 2
+
+    def reports():
+        serial = run_verification(theorem, 5, jobs=1)
+        pooled = run_verification(theorem, 5, jobs=2)
+        assert (pooled.instances, pooled.violations) == (serial.instances, serial.violations)
+        return serial
+
+    assert reports().ok()
+    PLANTED_FAULTS[theorem](monkeypatch)  # the violations must match too
+    assert not reports().ok()
+
+
+@pytest.mark.parametrize(
+    "theorem,name",
+    [
+        ("naoki-bound", "analyze"),
+        ("disconnected-licci", "analyze"),
+        ("codim1", "codim1_conditions"),
+        ("terai-duality", "invariants"),
+    ],
+)
+def test_cli_sweep_worker_failure_names_the_class(theorem, name, monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)  # --jobs 2 starts a pool of 2
+    real = getattr(census, name)
+    for error, code, prefix in (
+        (ResourceBudgetError, 3, "error: "),
+        (RouteDisagreementError, 1, "ROUTE DISAGREEMENT: "),
+    ):
+        def planted(g, error=error):
+            if census.emit_graph6(g) == b"C~":  # K4
+                raise error("planted fault")
+            return real(g)
+
+        monkeypatch.setattr(census, name, planted)
+        argv = ["verify", "--theorem", theorem, "--max-n", "4", "--jobs", "2"]
+        res = CliRunner().invoke(main, argv, catch_exceptions=False)
+        assert res.exit_code == code
+        assert f"{prefix}planted fault (class C~)" in res.stderr.splitlines()
+        assert "Traceback" not in res.output
 
 
 def test_cli_oracle_reports_violations(tmp_path, monkeypatch):
@@ -463,8 +538,6 @@ def test_cli_route_disagreement_exits_1(tmp_path, monkeypatch):
 
 
 def test_cli_census_worker_failure_names_the_class(tmp_path, monkeypatch):
-    from bei.errors import ResourceBudgetError, RouteDisagreementError
-
     monkeypatch.setattr(census.os, "cpu_count", lambda: 4)  # --jobs 2 starts a pool of 2
     real = census.analyze
     out = tmp_path / "c.jsonl"

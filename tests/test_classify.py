@@ -121,7 +121,6 @@ def test_routes_agree_enumerated():
             if not g.edge_count():
                 continue
             verdict = licci_verdict(g)  # raises on any route disagreement
-            assert verdict.routes_agree
             if verdict.licci:
                 rec = verdict.witness
                 assert rec.reg >= 2 * g.n - rec.dim - 1
