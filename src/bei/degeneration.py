@@ -52,12 +52,11 @@ acyclic; otherwise D' is again a part.  Private vertices are tried first, and
 only the parts with neither kind of vertex reach the relative faces.
 
 The homology of a part depends only on its generator set, since the part's
-vertex set is their union.  The cache therefore keys each part that
-``betti_table`` asks for both by its generator tuple as given, which a later
-ideal with the same generators hits without any packing, and by its shape,
-the generators moved to slots 0..k-1 of their union and sorted, which parts
-of different ideals share.  The links the reductions recurse into are keyed
-by shape only, since only ``betti_table`` repeats a tuple as given.
+vertex set is their union, and it does not change when the slots outside the
+union are squeezed out.  The cache therefore keys each part, whether
+``betti_table`` asks for it or a reduction recurses into it as a link, by its
+shape alone: the generators moved to slots 0..k-1 of their union and sorted,
+which parts of different ideals share.
 
 ``invariants`` does not scan the initial ideal I itself.  It computes the
 Betti table of the Alexander dual I^v, generated by x^C for each minimal
@@ -356,42 +355,27 @@ def _covered_unions(gens) -> list[int]:
     return sorted(seen)
 
 
-# homology cache keyed by generator tuples: a part's homology depends only on
-# its generators, so the tuple as given by ``betti_table`` and its compressed
-# shape are both keys; the links a reduction recurses into are keyed by shape
+# homology cache keyed by shape: a part's homology depends only on its
+# generators, up to the slots missing from their union
 _PART_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 
-def _part_homology(gens: tuple[int, ...]) -> dict[int, int]:
+def _part_homology(gens) -> dict[int, int]:
     """Nonzero reduced homology ranks of the complex on the union of ``gens``
-    whose minimal non-faces are ``gens``."""
-    vec = _PART_CACHE.get(gens)
-    if vec is None:
-        vec = _PART_CACHE[gens] = _link_homology(gens)
-    return vec
+    whose minimal non-faces are ``gens``, cached under their shape.
 
-
-def _link_homology(gens) -> dict[int, int]:
-    """``_part_homology``, cached under the compressed shape of ``gens`` only:
-    the generators moved to slots 0..k-1 of their union, sorted."""
+    Each slot missing below the top of the union is squeezed out by shifting
+    the slots above it down by one, the highest gap first, so that the lower
+    gaps keep their places."""
     universe = 0
     for g in gens:
         universe |= g
-    pos = {}
-    m = universe
-    while m:
-        b = m & -m
-        m ^= b
-        pos[b] = 1 << len(pos)
-    packed = []
-    for g in gens:
-        c = 0
-        while g:
-            b = g & -g
-            g ^= b
-            c |= pos[b]
-        packed.append(c)
-    key = tuple(sorted(packed))
+    gaps = ~universe & ((1 << universe.bit_length()) - 1)
+    while gaps:
+        low = (1 << gaps.bit_length() - 1) - 1
+        gaps &= low
+        gens = [(g & low) | (g >> 1 & ~low) for g in gens]
+    key = tuple(sorted(gens))
     vec = _PART_CACHE.get(key)
     if vec is None:
         vec = _PART_CACHE[key] = _shape_homology(key)
@@ -440,7 +424,7 @@ def _shifted_link(rest: int, gens, shift: int) -> dict[int, int]:
         covered |= h
     if covered != rest:
         return {}
-    return {d + shift: r for d, r in _link_homology(link).items()}
+    return {d + shift: r for d, r in _part_homology(link).items()}
 
 
 def _check_betti_tier(n_vars: int) -> None:
@@ -457,7 +441,7 @@ def betti_table(I: SquarefreeMonomialIdeal) -> BettiTable:
     gens = I.min_gens
     for W in _covered_unions(gens):
         size = W.bit_count()
-        for d, r in _part_homology(tuple(g for g in gens if g & ~W == 0)).items():
+        for d, r in _part_homology([g for g in gens if g & ~W == 0]).items():
             key = (size - d - 1, size)
             entries[key] = entries.get(key, 0) + r
     table = tuple(sorted((i, j, r) for (i, j), r in entries.items()))

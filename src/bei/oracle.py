@@ -45,7 +45,7 @@ from typing import Optional
 from .degeneration import colon_generators, initial_ideal
 from .errors import ResourceBudgetError
 from .graphs import Graph, delete_edge, edge_completion, induced_on, ohtani_completion
-from .primes import CutSet, cut_sets, minimal_primes
+from .primes import CutSet, _cut_set, minimal_primes
 
 MAX_EFFECTIVE_VARS = 11
 MAX_INPUT_DEGREE = 6  # documented contract is 4; headroom covers internal folds
@@ -430,16 +430,11 @@ def buchberger(I: Ideal) -> tuple[Polynomial, ...]:
     # every new element was reduced by all earlier ones, so the active
     # elements are the minimal basis
     minimal = [basis[k] for k in active]
-    # tail-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx, f in enumerate(minimal):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            r = normal_form(f, others)
-            if r.terms != f.terms:
-                minimal[idx] = r.monic()
-                changed = True
+    # tail-reduce to the unique reduced basis in one pass: the leads never
+    # change, and no tail term is divisible by its own lead, so a reduced
+    # tail stays reduced
+    for idx, f in enumerate(minimal):
+        minimal[idx] = normal_form(f, minimal[:idx] + minimal[idx + 1 :])
     minimal.sort(key=lambda g: g._lead()[0], reverse=True)
     # self-check: every S-polynomial of the final basis reduces to zero
     final = [f._reducer() for f in minimal]
@@ -567,7 +562,7 @@ def monomial_polynomial(ctx: PolyContext, mask: int) -> Polynomial:
 
 def prime_component_ideal(G: Graph, S: CutSet) -> Ideal:
     """Variables for S plus the 2-minors of the completed components."""
-    if S not in cut_sets(G):
+    if _cut_set(G, S.mask) != S:
         raise ValueError("not a valid cut set of this graph")
     ctx = PolyContext(G.n)
     gens = []

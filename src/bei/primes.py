@@ -39,28 +39,23 @@ def _component_count(adj, full: int, removed: int) -> int:
     return len(_component_masks(adj, full & ~removed))
 
 
-def cut_sets(G: Graph) -> tuple[CutSet, ...]:
-    """All subsets indexing minimal primes, sorted by (size, bitmask)."""
+def _cut_set(G: Graph, s: int) -> CutSet | None:
+    """The cut set on the vertex mask ``s``, or None if ``s`` is not one."""
     full = G.full_mask()
     adj = G.adj
-    found = []
-    for s in range(1 << G.n):
-        if s:
-            c_s = _component_count(adj, full, s)
-            ok = True
-            m = s
-            while m:
-                b = m & -m
-                m ^= b
-                if _component_count(adj, full, s & ~b) >= c_s:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        comps = _component_masks(adj, full & ~s)
-        found.append(
-            CutSet(s, tuple(mask_to_labels(cm) for cm in comps), len(comps))
-        )
+    comps = _component_masks(adj, full & ~s)
+    m = s
+    while m:
+        b = m & -m
+        m ^= b
+        if _component_count(adj, full, s & ~b) >= len(comps):
+            return None
+    return CutSet(s, tuple(mask_to_labels(cm) for cm in comps), len(comps))
+
+
+def cut_sets(G: Graph) -> tuple[CutSet, ...]:
+    """All subsets indexing minimal primes, sorted by (size, bitmask)."""
+    found = [cs for s in range(1 << G.n) if (cs := _cut_set(G, s)) is not None]
     found.sort(key=lambda cs: (cs.mask.bit_count(), cs.mask))
     return tuple(found)
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bei.errors import ResourceBudgetError
-from bei import census, oracle
-from bei.graphs import build_graph, cut_vertices, is_connected
+from bei import census, degeneration, oracle, primes
+from bei.degeneration import initial_ideal
+from bei.graphs import build_graph, cut_vertices, enumerate_connected, is_connected
 from bei.oracle import (
     MAX_INPUT_DEGREE,
     Ideal,
@@ -167,6 +168,9 @@ def test_prime_component_ideal():
     assert len(gens) == 2  # x2, y2 only; singleton components give no minors
     with pytest.raises(ValueError):
         prime_component_ideal(K3, cut2)
+    # {2} cuts this claw as well, but into other components
+    with pytest.raises(ValueError):
+        prime_component_ideal(build_graph(4, [(1, 2), (2, 3), (2, 4)]), cut2)
     diamond_cut = [c for c in cut_sets(DIAMOND) if c.mask][0]
     assert len(prime_component_ideal(DIAMOND, diamond_cut).gens) == 4
 
@@ -177,12 +181,68 @@ def test_verify_primary_decomposition_examples():
     assert verify_primary_decomposition(K4)
 
 
+def test_primary_decomposition_scans_the_cut_sets_once(monkeypatch):
+    # the primes come from one cut_sets call; each prime's guard checks its
+    # own cut set only
+    calls = []
+    original = primes.cut_sets
+
+    def counting(G):
+        calls.append(G)
+        return original(G)
+
+    for mod in (primes, oracle):  # wherever the function is bound
+        if getattr(mod, "cut_sets", None) is original:
+            monkeypatch.setattr(mod, "cut_sets", counting)
+    assert verify_primary_decomposition(DIAMOND)
+    assert calls == [DIAMOND]
+
+
 def test_verify_colon_theorem_examples():
     assert verify_colon_theorem(K3, (1, 3))
     assert verify_colon_theorem(P3, (1, 2))
     assert verify_colon_theorem(DIAMOND, (2, 3))
     with pytest.raises(ValueError):
         verify_colon_theorem(P3, (1, 3))
+
+
+def test_initial_ideal_matches_groebner_leads_at_n6(monkeypatch):
+    """in(J_G) from the admissible paths equals the lex lead terms of the
+    reduced basis on every connected n = 6 class, at its canonical labeling;
+    a planted fault, one path lead dropped, is caught on every class."""
+    monkeypatch.setattr(oracle, "MAX_EFFECTIVE_VARS", 12)
+    real_paths = degeneration.admissible_paths
+    graphs = enumerate_connected(6)
+    assert len(graphs) == 112
+    ctx = PolyContext(6)
+
+    def path_leads(g):
+        return {oracle._slot_exponents(ctx, m) for m in initial_ideal(g).min_gens}
+
+    for g in graphs:
+        leads = {p.lt()[0] for p in buchberger(binomial_edge_ideal(g, ctx))}
+        assert leads == path_leads(g), g
+        with monkeypatch.context() as m:
+            m.setattr(degeneration, "admissible_paths", lambda G: real_paths(G)[1:])
+            assert leads != path_leads(g), g
+
+
+def test_tail_reduction_takes_one_pass(monkeypatch):
+    # x1 - x2 enters first; x2 - x3 then reduces its tail to x1 - x3, which
+    # stays reduced, so one normal form per minimal element suffices
+    x1, x2, x3 = (var(CTX3, CTX3.x(v)) for v in (1, 2, 3))
+    changed = []
+    original = oracle.normal_form
+
+    def counting(f, basis):
+        r = original(f, basis)
+        changed.append(r != f)
+        return r
+
+    monkeypatch.setattr(oracle, "normal_form", counting)
+    gb = buchberger(Ideal(CTX3, [x1 - x2, x2 - x3]))
+    assert gb == (x1 - x3, x2 - x3)
+    assert changed == [True, False]
 
 
 def test_verify_initial_ideal_examples():
