@@ -2,8 +2,11 @@
 
 The census walks every isomorphism class of connected graphs with at least
 one edge up to a vertex cap, runs the full pipeline on each, and persists
-flat JSONL sorted by (n, canonical form).  Worker processes only change wall
-time, never bytes: records are merged and sorted before writing.  Both files
+flat JSONL sorted by (n, canonical form).  The levels below the cap are
+enumerated first; the top level is generated in the worker pool, one task
+per parent class, alongside the analysis of the lower classes.  Worker
+processes only change wall time, never bytes: records are merged and sorted
+before writing.  Both files
 are replaced atomically, and a sidecar index pins the pipeline version and
 the JSONL's sha256; records from another version or from bytes that do not
 match the hash are recomputed rather than reused.
@@ -28,7 +31,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import get_context
 
@@ -41,6 +44,7 @@ from .graph6 import emit_graph6, format_edge_list, parse_graph6
 from .graphs import (
     ENUMERATION_MAX,
     Graph,
+    _children,
     build_graph,
     canonical_form,
     connected_components,
@@ -51,12 +55,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_decomposable,
-)
-from .oracle import (
-    verify_colon_theorem,
-    verify_initial_ideal,
-    verify_ohtani,
-    verify_primary_decomposition,
 )
 
 
@@ -96,7 +94,7 @@ class CensusRecord:
 
     def to_json(self) -> str:
         # keys in field order: the census bytes depend on it
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "CensusRecord":
@@ -147,11 +145,16 @@ def _worker(g6: str) -> str:
     return _in_class(g6, analyze).to_json()
 
 
-def census_graphs(max_n: int) -> list[Graph]:
-    """Connected classes with edges up to ``max_n``; the census tier is the
-    enumeration tier, refused here before any class is enumerated."""
+def _check_census_tier(max_n: int) -> None:
+    """The census tier is the enumeration tier, refused before any class is
+    enumerated."""
     if max_n > ENUMERATION_MAX:
         raise TierExceededError(f"census tier is n <= {ENUMERATION_MAX}, got {max_n}")
+
+
+def census_graphs(max_n: int) -> list[Graph]:
+    """Connected classes with edges up to ``max_n``."""
+    _check_census_tier(max_n)
     # a connected class with n >= 2 has an edge
     return [g for n in range(2, max_n + 1) for g in enumerate_connected(n)]
 
@@ -185,17 +188,55 @@ def _map(fn, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
+def _census_task(task: tuple[str, frozenset | None]) -> list[tuple[str, str | None]]:
+    """One census pool task, as (class, record line) pairs.
+
+    ``(g6, None)`` analyzes the class g6.  ``(g6, held)`` generates the
+    children of the parent class g6 and analyzes each connected one whose
+    key is not in ``held``; a held child gets None, since the reuse has it.
+    """
+    g6, held = task
+    if held is None:
+        return [(g6, _worker(g6))]
+    out = []
+    for child in _children(parse_graph6(g6.encode("ascii"))):
+        if is_connected(child):
+            key = emit_graph6(child).decode("ascii")
+            out.append((key, None if key in held else _worker(key)))
+    return out
+
+
 def compute_records(
     max_n: int, jobs: int, reuse: dict[str, str]
 ) -> dict[str, CensusRecord]:
-    """Records for every connected class with edges, keyed by canonical graph6."""
-    graphs = census_graphs(max_n)
+    """Records for every connected class with edges, keyed by canonical graph6.
+
+    Only the levels below ``max_n`` are enumerated here.  The top level is
+    generated in the pool, one task per parent class on max_n - 1 vertices,
+    so that it overlaps the analysis of the others.
+    """
+    _check_census_tier(max_n)
+    if max_n < 2:
+        return {}
     # each enumerated class comes canonically labeled: its graph6 is its form
-    keys = [emit_graph6(g).decode("ascii") for g in graphs]
-    lines = {k: reuse[k] for k in keys if k in reuse}
-    todo = [k for k in keys if k not in lines]
-    lines.update(zip(todo, _map(_worker, todo, jobs)))
-    return {k: CensusRecord.from_json(lines[k]) for k in keys}
+    lower = [emit_graph6(g).decode("ascii") for g in census_graphs(max_n - 1)]
+    parents = [emit_graph6(H).decode("ascii") for H in enumerate_graphs(max_n - 1)]
+    held: dict[str, set[str]] = {}
+    for key in reuse:
+        G = parse_graph6(key.encode("ascii"))
+        if G.n == max_n:
+            # a canonical class minus its last vertex is its canonical parent
+            top = induced_on(G, range(1, max_n)).graph
+            held.setdefault(emit_graph6(top).decode("ascii"), set()).add(key)
+    tasks = [(k, None) for k in lower if k not in reuse]
+    tasks += [(p, frozenset(held.get(p, ()))) for p in parents]
+    lines = {k: reuse.get(k) for k in lower}
+    for pairs in _map(_census_task, tasks, jobs):
+        lines.update(pairs)
+    return {
+        k: CensusRecord.from_json(reuse[k] if line is None else line)
+        for k, line in lines.items()
+    }
 
 
 def _read_reusable(out_path: str, idx_path: str) -> dict[str, str]:
@@ -492,28 +533,31 @@ def _labeled_connected(n: int) -> list[Graph]:
     return [g for g in graphs if is_connected(g)]
 
 
-# check -> (theorem id, labeled graph -> [(label suffix, ok)], seeded n = 5 sample?)
+# check -> (theorem id, (oracle module, labeled graph) -> [(label suffix, ok)],
+# seeded n = 5 sample?); only a campaign imports the oracle
 _ORACLE_CHECKS = {
     "primary-decomposition": (
         "primary-decomposition-oracle",
-        lambda g: [("", verify_primary_decomposition(g))],
+        lambda oracle, g: [("", oracle.verify_primary_decomposition(g))],
         True,
     ),
     "colon": (
         "colon-oracle",
-        lambda g: [
-            (f" e={e[0]}-{e[1]}", verify_colon_theorem(g, e)) for e in g.edges()
+        lambda oracle, g: [
+            (f" e={e[0]}-{e[1]}", oracle.verify_colon_theorem(g, e)) for e in g.edges()
         ],
         False,
     ),
     "initial": (
         "initial-ideal-oracle",
-        lambda g: [("", verify_initial_ideal(g))],
+        lambda oracle, g: [("", oracle.verify_initial_ideal(g))],
         True,
     ),
     "ohtani": (
         "ohtani-oracle",
-        lambda g: [(f" v={v}", verify_ohtani(g, v)) for v in cut_vertices(g)],
+        lambda oracle, g: [
+            (f" v={v}", oracle.verify_ohtani(g, v)) for v in cut_vertices(g)
+        ],
         False,
     ),
 }
@@ -527,6 +571,8 @@ def _oracle_campaign(check: str, max_n: int):
     """
     if max_n > 5:
         raise TierExceededError(f"oracle campaign tier is n <= 5, got {max_n}")
+    from . import oracle
+
     _, checks, sampled = _ORACLE_CHECKS[check]
     graphs = [g for n in range(1, min(max_n, 4) + 1) for g in _labeled_connected(n)]
     if max_n >= 5 and sampled:
@@ -542,7 +588,7 @@ def _oracle_campaign(check: str, max_n: int):
         label = format_edge_list(g)
         fixtures.extend(
             {"graph6": g6, "labeling": label + suffix, "check": check, "ok": ok}
-            for suffix, ok in checks(g)
+            for suffix, ok in checks(oracle, g)
         )
     violations = [
         {"graph6": fx["graph6"], "detail": fx["labeling"]}

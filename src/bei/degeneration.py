@@ -48,15 +48,20 @@ minimal non-faces are the minimal sets among g - u, and dropping one vertex
 from the ground set shifts the degree of the duality by one:
 H~_d(D) = H~_{d-1}(D').  When u lies in every generator this is the
 suspension.  If those sets miss a vertex of W - u, D' is a cone and D is
-acyclic; otherwise D' is again a part.  Private vertices are tried first, and
-only the parts with neither kind of vertex reach the relative faces.
+acyclic; otherwise D' is again a part.  Since the generators form an
+antichain, those minimal sets are written directly: g - u for each g through
+u, and each g avoiding u that contains no such set.  Private vertices are
+tried first, and only the parts with neither kind of vertex reach the
+relative faces.
 
 The homology of a part depends only on its generator set, since the part's
 vertex set is their union, and it does not change when the slots outside the
 union are squeezed out.  The cache therefore keys each part, whether
 ``betti_table`` asks for it or a reduction recurses into it as a link, by its
 shape alone: the generators moved to slots 0..k-1 of their union and sorted,
-which parts of different ideals share.
+which parts of different ideals share.  The caller passes the union it
+already holds (``betti_table`` its covered union, a reduction the ground set
+of its link), and each run of missing slots is squeezed out by one shift.
 
 ``invariants`` does not scan the initial ideal I itself.  It computes the
 Betti table of the Alexander dual I^v, generated by x^C for each minimal
@@ -341,18 +346,13 @@ class BettiTable:
     pd: int
 
 
-def _covered_unions(gens) -> list[int]:
+def _covered_unions(gens) -> set[int]:
     """All distinct unions of nonempty generator subsets."""
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for g in gens:
-            w = u | g
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return sorted(seen)
+    seen: set[int] = set()
+    for g in gens:
+        seen |= {u | g for u in seen}
+        seen.add(g)
+    return seen
 
 
 # homology cache keyed by shape: a part's homology depends only on its
@@ -360,21 +360,22 @@ def _covered_unions(gens) -> list[int]:
 _PART_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 
-def _part_homology(gens) -> dict[int, int]:
-    """Nonzero reduced homology ranks of the complex on the union of ``gens``
-    whose minimal non-faces are ``gens``, cached under their shape.
+def _part_homology(gens, universe: int) -> dict[int, int]:
+    """Nonzero reduced homology ranks of the complex on ``universe``, the
+    union of ``gens``, whose minimal non-faces are ``gens``, cached under
+    their shape.
 
-    Each slot missing below the top of the union is squeezed out by shifting
-    the slots above it down by one, the highest gap first, so that the lower
-    gaps keep their places."""
-    universe = 0
-    for g in gens:
-        universe |= g
+    Each run of slots missing below the top of the union is squeezed out by
+    shifting the slots above it down by its length, the highest run first,
+    so that the lower runs keep their places."""
     gaps = ~universe & ((1 << universe.bit_length()) - 1)
     while gaps:
-        low = (1 << gaps.bit_length() - 1) - 1
+        top = gaps.bit_length()
+        # the run is the gaps above the highest slot of the union below top
+        start = (universe & ((1 << top) - 1)).bit_length()
+        low = (1 << start) - 1
         gaps &= low
-        gens = [(g & low) | (g >> 1 & ~low) for g in gens]
+        gens = [(g & low) | (g >> (top - start) & ~low) for g in gens]
     key = tuple(sorted(gens))
     vec = _PART_CACHE.get(key)
     if vec is None:
@@ -397,7 +398,8 @@ def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
         rest = once & ~g
         if not rest:
             return {shift - 1: 1}
-        return _shifted_link(rest, (h & ~g for h in gens if h != g), shift)
+        link = monomial_ideal(rest.bit_length(), (h & ~g for h in gens if h != g))
+        return _shifted_link(rest, link.min_gens, shift)
     m = once
     while m:
         w = m & -m
@@ -409,22 +411,35 @@ def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
         common ^= w  # the slots u with w in g => u in g
         if common:
             u = common & -common
-            return _shifted_link(once ^ u, (g & ~u for g in gens), 1)
+            return _shifted_link(once ^ u, _dominated_link(gens, u), 1)
     ranks = _homology_ranks(_relative_faces(gens))
     return {d: r for d, r in ranks.items() if r}
 
 
-def _shifted_link(rest: int, gens, shift: int) -> dict[int, int]:
-    """Homology of the part on ``rest`` whose non-faces are the minimal sets
-    among ``gens``, raised by ``shift`` degrees; none if those sets miss a
-    slot of ``rest``, since the complex is then a cone over that slot."""
-    link = monomial_ideal(rest.bit_length(), gens).min_gens
+def _dominated_link(gens, u: int) -> list[int]:
+    """The minimal sets among g - u, for the antichain ``gens`` and the
+    one-slot mask u, written directly instead of by ``monomial_ideal``.
+
+    Each g - u with u in g is minimal: a set inside it would lie inside g.
+    A generator h avoiding u is its own set, minimal unless it contains some
+    g - u, since it contains no other generator.
+    """
+    through = [g ^ u for g in gens if g & u]
+    return through + [
+        h for h in gens if not h & u and not any(t & ~h == 0 for t in through)
+    ]
+
+
+def _shifted_link(rest: int, link, shift: int) -> dict[int, int]:
+    """Homology of the part on ``rest`` whose minimal non-faces are ``link``,
+    raised by ``shift`` degrees; none if they miss a slot of ``rest``, since
+    the complex is then a cone over that slot."""
     covered = 0
     for h in link:
         covered |= h
     if covered != rest:
         return {}
-    return {d + shift: r for d, r in _part_homology(link).items()}
+    return {d + shift: r for d, r in _part_homology(link, rest).items()}
 
 
 def _check_betti_tier(n_vars: int) -> None:
@@ -441,7 +456,7 @@ def betti_table(I: SquarefreeMonomialIdeal) -> BettiTable:
     gens = I.min_gens
     for W in _covered_unions(gens):
         size = W.bit_count()
-        for d, r in _part_homology([g for g in gens if g & ~W == 0]).items():
+        for d, r in _part_homology([g for g in gens if g & ~W == 0], W).items():
             key = (size - d - 1, size)
             entries[key] = entries.get(key, 0) + r
     table = tuple(sorted((i, j, r) for (i, j), r in entries.items()))

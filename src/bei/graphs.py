@@ -21,7 +21,9 @@ one child of one class on n - 1: the parent with a new last vertex and some
 neighbour set, kept because it is its own least string.  The canonicity
 test is the same search with the child's own columns as the target; it
 stops at the first smaller column.  No class is met twice, so nothing is
-deduplicated.
+deduplicated.  The children of one parent (``_children``) need nothing from
+any other class, so the census generates its top level one parent per task
+in its worker pool.
 """
 
 from __future__ import annotations
@@ -390,31 +392,38 @@ def canonical_form(G: Graph) -> bytes:
     return _pack_graph6(n, _least_columns(G.adj))
 
 
+def _children(H: Graph) -> list[Graph]:
+    """The canonically labeled children of the canonically labeled H, canonical order.
+
+    H gets a new last vertex with each neighbour set, in the order of its
+    column; a child is kept when it is its own least string.
+    """
+    last = H.n
+    target = _columns(H.adj) + [0]
+    out = []
+    for col in range(1 << last):
+        # moving the new vertex to place p keeps the columns before p and
+        # makes its own first p bits column p: a cheap, exact rejection
+        if any(col >> (last - p) < target[p] for p in range(1, last)):
+            continue
+        mask = sum(1 << i for i in range(last) if col >> (last - 1 - i) & 1)
+        adj = tuple(row | (mask >> i & 1) << last for i, row in enumerate(H.adj)) + (mask,)
+        target[last] = col
+        if _least_columns(adj, target) is not None:
+            out.append(Graph(last + 1, adj))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _all_graphs(n: int) -> tuple[Graph, ...]:
     """One canonically labeled graph per isomorphism class on n vertices, canonical order.
 
-    Each class on n - 1 vertices, in canonical order, gets a new last vertex
-    with each neighbour set, in the order of its column; a child is kept when
-    it is its own least string, so the output is in string order too.
+    The children of each class on n - 1 vertices, in canonical order: the
+    output is in string order too.
     """
     if n == 1:
         return (Graph(1, (0,)),)
-    last = n - 1
-    out = []
-    for H in _all_graphs(last):
-        target = _columns(H.adj) + [0]
-        for col in range(1 << last):
-            # moving the new vertex to place p keeps the columns before p and
-            # makes its own first p bits column p: a cheap, exact rejection
-            if any(col >> (last - p) < target[p] for p in range(1, last)):
-                continue
-            mask = sum(1 << i for i in range(last) if col >> (last - 1 - i) & 1)
-            adj = tuple(row | (mask >> i & 1) << last for i, row in enumerate(H.adj)) + (mask,)
-            target[last] = col
-            if _least_columns(adj, target) is not None:
-                out.append(Graph(n, adj))
-    return tuple(out)
+    return tuple(G for H in _all_graphs(n - 1) for G in _children(H))
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:

@@ -1,8 +1,10 @@
 """Cut sets and the combinatorial minimal primes of a binomial edge ideal.
 
-Every vertex subset S is tested verbatim: S is kept when it is empty or when
-removing any single element of S strictly drops the component count of the
-restriction.  Heights come from the closed formula n - c(S) + |S|.
+A vertex subset S is a cut set when it is empty or when putting back any
+single element s of S strictly drops the component count of G - S.  Putting
+s back merges the components of G - S that s touches, so S is kept exactly
+when every s in S touches at least two of them.  Heights come from the closed
+formula n - c(S) + |S|.
 """
 
 from __future__ import annotations
@@ -35,20 +37,16 @@ class DecompositionSummary:
     unmixed: bool
 
 
-def _component_count(adj, full: int, removed: int) -> int:
-    return len(_component_masks(adj, full & ~removed))
-
-
 def _cut_set(G: Graph, s: int) -> CutSet | None:
     """The cut set on the vertex mask ``s``, or None if ``s`` is not one."""
-    full = G.full_mask()
     adj = G.adj
-    comps = _component_masks(adj, full & ~s)
+    comps = _component_masks(adj, G.full_mask() & ~s)
     m = s
     while m:
         b = m & -m
         m ^= b
-        if _component_count(adj, full, s & ~b) >= len(comps):
+        nb = adj[b.bit_length() - 1]
+        if sum(1 for c in comps if nb & c) < 2:
             return None
     return CutSet(s, tuple(mask_to_labels(cm) for cm in comps), len(comps))
 

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,7 +74,7 @@ def test_census_idempotent_and_worker_independent(tmp_path, monkeypatch):
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)  # --jobs 3 starts 3 workers
 
     def census(path, jobs):
-        run_census(4, str(path), jobs=jobs)
+        run_census(5, str(path), jobs=jobs)
         return path.read_bytes()
 
     a, b, c, d = (tmp_path / x for x in ("a.jsonl", "b.jsonl", "c.jsonl", "d.jsonl"))
@@ -116,6 +118,46 @@ def test_census_reuses_only_hash_matching_output(tmp_path, monkeypatch):
     run_census(4, str(out), jobs=1)
     assert len(computed) == len(lines)
     assert out.read_bytes() == full and idx_path.read_bytes() == index
+
+
+def test_census_rerun_analyzes_only_new_classes(tmp_path, monkeypatch):
+    # the top level is generated in the pool: a held child is not analyzed
+    out = tmp_path / "c.jsonl"
+    run_census(5, str(out), jobs=1)
+    n5 = out.read_bytes()
+    analyzed = []
+    real = census.analyze
+
+    def counted(g):
+        analyzed.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(census, "analyze", counted)
+    run_census(5, str(out), jobs=1)
+    assert analyzed == [] and out.read_bytes() == n5
+    run_census(6, str(out), jobs=1)
+    assert analyzed == [6] * 112
+    n6 = out.read_bytes()
+    assert hashlib.sha256(n6).hexdigest() == (
+        "340748b0af83117a8022f3736f963c1b9cf0822a5efe2b6cac90435b2d8876b7"
+    )
+    analyzed.clear()
+    run_census(6, str(out), jobs=1)
+    assert analyzed == [] and out.read_bytes() == n6
+    # the n = 6 records beside a smaller top level are ignored, not analyzed
+    run_census(5, str(out), jobs=1)
+    assert analyzed == [] and out.read_bytes() == n5
+
+
+def test_cli_import_leaves_the_oracle_out():
+    # only an oracle campaign imports the oracle
+    code = "import sys, bei.cli; print('bei.oracle' in sys.modules)"
+    src = str(Path(bei.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert res.stdout.strip() == "False"
 
 
 def test_pipeline_version_follows_the_source(tmp_path, monkeypatch):
@@ -416,12 +458,14 @@ def test_cli_sweep_worker_failure_names_the_class(theorem, name, monkeypatch):
 
 
 def test_cli_oracle_reports_violations(tmp_path, monkeypatch):
-    real = census.verify_colon_theorem
+    from bei import oracle
+
+    real = oracle.verify_colon_theorem
 
     def fails_on_p2(g, e):
         return g.n != 2 and real(g, e)
 
-    monkeypatch.setattr(census, "verify_colon_theorem", fails_on_p2)
+    monkeypatch.setattr(oracle, "verify_colon_theorem", fails_on_p2)
     fx = tmp_path / "fixtures.jsonl"
     res = CliRunner().invoke(
         main, ["oracle", "--check", "colon", "--max-n", "3", "--out", str(fx)]
@@ -466,6 +510,10 @@ def test_census_tier_is_refused_before_enumeration(tmp_path, monkeypatch):
     for name in ("enumerate_connected", "enumerate_graphs"):
         monkeypatch.setattr(graphs, name, refuse)
         monkeypatch.setattr(census, name, refuse)
+    # the pool generates the top level: its generator is refused too
+    monkeypatch.setattr(graphs, "_all_graphs", refuse)
+    monkeypatch.setattr(graphs, "_children", refuse)
+    monkeypatch.setattr(census, "_children", refuse)
     with pytest.raises(TierExceededError, match="census tier is n <= 8, got 9"):
         census_graphs(9)
     with pytest.raises(TierExceededError, match="enumeration tier is n <= 8, got 9"):
@@ -478,6 +526,7 @@ def test_census_tier_is_refused_before_enumeration(tmp_path, monkeypatch):
         res = CliRunner().invoke(main, argv)
         assert res.exit_code == 3 and "Traceback" not in res.output
         assert res.output.splitlines() == ["error: census tier is n <= 8, got 9"]
+    assert not list(tmp_path.iterdir())
     for theorem in ("disconnected-bound", "disconnected-licci"):  # every class
         res = CliRunner().invoke(main, ["verify", "--theorem", theorem, "--max-n", "9"])
         assert res.exit_code == 3 and "Traceback" not in res.output
@@ -551,7 +600,7 @@ def test_cli_census_worker_failure_names_the_class(tmp_path, monkeypatch):
             return real(g)
 
         monkeypatch.setattr(census, "analyze", planted)
-        argv = ["census", "--max-n", "4", "--out", str(out), "--jobs", "2"]
+        argv = ["census", "--max-n", "5", "--out", str(out), "--jobs", "2"]
         res = CliRunner().invoke(main, argv, catch_exceptions=False)
         assert res.exit_code == code
         assert f"{prefix}planted fault (class C~)" in res.stderr.splitlines()

@@ -356,6 +356,33 @@ def test_unreduced_dual_parts_match_full_face_table_at_n6(monkeypatch):
         assert cache[shape] == full_face_homology(shape), shape
 
 
+def test_dominated_link_is_the_minimalized_link_on_census_duals(monkeypatch):
+    # every dominated-vertex branch that the n <= 6 dual tables reach: the
+    # link written directly equals monomial_ideal of the sets g - u
+    branches = []
+    direct = degeneration._dominated_link
+
+    def recorded(gens, u):
+        branches.append((gens, u))
+        return direct(gens, u)
+
+    monkeypatch.setattr(degeneration, "_PART_CACHE", {})
+    monkeypatch.setattr(degeneration, "_dominated_link", recorded)
+    for g in census_graphs(6):
+        betti_table(_alexander_dual(initial_ideal(g)))
+    assert len(branches) == 2329
+
+    def minimalized(gens, u):
+        return sorted(monomial_ideal(16, (g & ~u for g in gens)).min_gens)
+
+    def planted(gens, u):
+        # keeps every h avoiding u, also one that contains some g - u
+        return [g ^ u for g in gens if g & u] + [h for h in gens if not h & u]
+
+    assert all(sorted(direct(gens, u)) == minimalized(gens, u) for gens, u in branches)
+    assert any(sorted(planted(gens, u)) != minimalized(gens, u) for gens, u in branches)
+
+
 @st.composite
 def generator_sets(draw):
     """Minimal generators on up to 8 slots, singletons and private slots likely."""
@@ -404,10 +431,13 @@ def dual_like_sets(draw):
 @example((0b00111, 0b11001, 0b11110))  # dominated slots removed twice in a row
 @settings(max_examples=300, deadline=None)
 def test_part_homology_against_full_face_table(gens):
+    universe = 0
+    for g in gens:
+        universe |= g
     with patch.object(degeneration, "_PART_CACHE", {}) as cache:
-        assert _part_homology(gens) == full_face_homology(gens)
+        assert _part_homology(gens, universe) == full_face_homology(gens)
         # the second lookup hits the shape, the only key of the part
-        assert _part_homology(gens) == full_face_homology(gens)
+        assert _part_homology(gens, universe) == full_face_homology(gens)
         assert compressed(gens) in cache
         assert all(key == compressed(key) for key in cache)
 

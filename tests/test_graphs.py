@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bei.graph6 import emit_graph6, parse_graph6
 from bei.graphs import (
     CANONICAL_MAX,
+    _all_graphs,
+    _children,
     _columns,
     _least_columns,
     build_graph,
@@ -322,6 +324,15 @@ def test_enumeration_matches_bruteforce_dedup():
         seen = {canonical_form(g) for g in labeled_graphs(n) if is_connected(g)}
         assert seen == {canonical_form(g) for g in enumerate_connected(n)}
         assert [canonical_form(g) for g in enumerate_connected(n)] == sorted(seen)
+
+
+def test_children_of_each_level_make_the_next():
+    # the census generates its top level one parent at a time, and finds the
+    # parent of a class by dropping its last vertex
+    for n in range(2, 8):
+        children = [(H, G) for H in _all_graphs(n - 1) for G in _children(H)]
+        assert tuple(G for _, G in children) == _all_graphs(n)
+        assert all(induced_on(G, range(1, n)).graph == H for H, G in children)
 
 
 def test_enumeration_is_canonically_labeled():

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 from bei.degeneration import invariants
-from bei.graphs import build_graph, enumerate_connected
+from bei.graphs import build_graph, enumerate_connected, enumerate_graphs
 from bei.primes import cut_sets, minimal_primes
 
 P3 = build_graph(3, [(1, 2), (2, 3)])
@@ -36,22 +36,25 @@ def components_after(g, removed):
 
 
 def test_cut_set_criterion_full_scan():
+    # S is a cut set when it is empty or putting back any one of its
+    # vertices strictly drops the component count of G - S
     for n in range(1, 7):
-        for g in enumerate_connected(n):
-            got = {cs.mask for cs in cut_sets(g)}
-            expected = set()
+        for g in enumerate_graphs(n):
+            expected = {}
             for r in range(n + 1):
-                for sub in combinations(range(1, n + 1), r):
-                    c_s = components_after(g, set(sub))
-                    if not sub or all(
-                        components_after(g, set(sub) - {i}) < c_s for i in sub
-                    ):
-                        if set(sub) != set(range(1, n + 1)):
-                            expected.add(sum(1 << (v - 1) for v in sub))
-                        elif c_s > 0:
-                            expected.add(sum(1 << (v - 1) for v in sub))
-                    # removing everything has c=0; criterion then fails above
-            assert got == expected
+                for sub in map(set, combinations(range(1, n + 1), r)):
+                    c = components_after(g, sub)
+                    if all(components_after(g, sub - {v}) < c for v in sub):
+                        expected[sum(1 << (v - 1) for v in sub)] = c
+            got = cut_sets(g)
+            assert {cs.mask: cs.c for cs in got} == expected
+            for cs in got:
+                rest = set(range(1, n + 1)) - set(cs.labels())
+                assert sorted(v for comp in cs.components for v in comp) == sorted(rest)
+                assert len(cs.components) == cs.c
+                # c connected parts of a graph with c components are its components
+                for comp in cs.components:
+                    assert components_after(g, set(range(1, n + 1)) - set(comp)) == 1
 
 
 def test_minimal_primes_examples():
