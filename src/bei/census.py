@@ -4,7 +4,9 @@ The census walks every isomorphism class of connected graphs with at least
 one edge up to a vertex cap, runs the full pipeline on each, and persists
 flat JSONL sorted by (n, canonical form).  The levels below the cap are
 enumerated first; the top level is generated in the worker pool, one task
-per parent class, alongside the analysis of the lower classes.  Worker
+per parent class, alongside the analysis of the lower classes.  Every class
+comes canonically labeled, so its graph6 is its key, and ``analyze`` is
+handed that key instead of computing a canonical form.  Worker
 processes only change wall time, never bytes: records are merged and sorted
 before writing.  Both files
 are replaced atomically, and a sidecar index pins the pipeline version and
@@ -102,8 +104,12 @@ class CensusRecord:
         return cls(**d)
 
 
-def analyze(G: Graph) -> CensusRecord:
-    """Run the full pipeline on one graph; all licci routes must agree."""
+def analyze(G: Graph, key: str | None = None) -> CensusRecord:
+    """Run the full pipeline on one graph; all licci routes must agree.
+
+    ``key`` is G's canonical graph6 when the caller already holds it, as the
+    census does for its canonically labeled classes; otherwise it is computed.
+    """
     verdict: CombinedVerdict = licci_verdict(G)
     rec = verdict.witness
     cliques = maximal_cliques(G)
@@ -113,7 +119,7 @@ def analyze(G: Graph) -> CensusRecord:
         "components": [s.to_json() for s in shapes],
     }
     return CensusRecord(
-        graph6=canonical_form(G).decode("ascii"),
+        graph6=canonical_form(G).decode("ascii") if key is None else key,
         n=G.n,
         edge_count=G.edge_count(),
         chordal=verdict.chordal,
@@ -142,7 +148,8 @@ def _in_class(g6: str, fn):
 
 
 def _worker(g6: str) -> str:
-    return _in_class(g6, analyze).to_json()
+    """The record line of the class whose canonical graph6 is g6."""
+    return _in_class(g6, lambda G: analyze(G, g6)).to_json()
 
 
 def _check_census_tier(max_n: int) -> None:
@@ -192,17 +199,16 @@ def _census_task(task: tuple[str, frozenset | None]) -> list[tuple[str, str | No
     """One census pool task, as (class, record line) pairs.
 
     ``(g6, None)`` analyzes the class g6.  ``(g6, held)`` generates the
-    children of the parent class g6 and analyzes each connected one whose
+    connected children of the parent class g6 and analyzes each one whose
     key is not in ``held``; a held child gets None, since the reuse has it.
     """
     g6, held = task
     if held is None:
         return [(g6, _worker(g6))]
     out = []
-    for child in _children(parse_graph6(g6.encode("ascii"))):
-        if is_connected(child):
-            key = emit_graph6(child).decode("ascii")
-            out.append((key, None if key in held else _worker(key)))
+    for child in _children(parse_graph6(g6.encode("ascii")), connected=True):
+        key = emit_graph6(child).decode("ascii")
+        out.append((key, None if key in held else _worker(key)))
     return out
 
 

@@ -33,10 +33,11 @@ minimal sets among h - g, h != g: h lies in F exactly when h - g lies in E,
 since no other generator contains v.  Dropping a vertex of g - v lands in
 link v, which is divided out, so the boundary acts on E alone, and
 (del v, link v) is the link of g - v shifted by |g| - 1:
-H~_d(D) = H~_{d-|g|+1}(link).  If W = g, the link is the complex of the
-empty face and H~_{|g|-2}(D) = 1; if the sets h - g miss a vertex of W - g,
+H~_d(D) = H~_{d-|g|+1}(link).  If the sets h - g miss a vertex of W - g,
 the link is a cone and D is acyclic.  Otherwise the link is again a part,
-reduced the same way.
+reduced the same way.  Its minimal non-faces are written directly too: a
+generator disjoint from g is its own set, and only the sets h - g of the
+generators meeting g are compared with each other.
 
 When no vertex is private, a vertex u may still be dominated: some vertex
 w != u of W has every generator through w contain u.  Combinatorial
@@ -54,11 +55,26 @@ u, and each g avoiding u that contains no such set.  Private vertices are
 tried first, and only the parts with neither kind of vertex reach the
 relative faces.
 
+Parts of at most three generators need no reduction: their homology has a
+closed form, and they are never cached.  The lcm-lattice formula
+(Gasharov, Peeva and Welker, "The lcm-lattice in monomial resolutions",
+Math. Res. Lett. 6, 1999) with the crosscut theorem gives
+beta_{i,W} = H~_{i-2}(X), X the complex of the sets of generators whose
+union is not W; with Hochster's formula, H~_d(D) = H~_{|W|-d-3}(X).  The
+generators form an antichain, so each one alone is a vertex of X when there
+are two or more, and all of them together are not a face.  One generator:
+X is the complex of the empty face, so H~_{|W|-2}(D) = 1 (D is the boundary
+of the simplex on W).  Two: X is two points, so H~_{|W|-3}(D) = 1.  Three:
+X is a graph on three vertices with an edge for each of the e pairs whose
+union is not W.  For e <= 1 it has 3 - e components, so
+H~_{|W|-3}(D) = 2 - e; for e = 2 it is a path and D is acyclic; for e = 3
+it is a circle, so H~_{|W|-4}(D) = 1.
+
 The homology of a part depends only on its generator set, since the part's
 vertex set is their union, and it does not change when the slots outside the
-union are squeezed out.  The cache therefore keys each part, whether
-``betti_table`` asks for it or a reduction recurses into it as a link, by its
-shape alone: the generators moved to slots 0..k-1 of their union and sorted,
+union are squeezed out.  The cache therefore keys each part of four or more
+generators, whether ``betti_table`` asks for it or a reduction recurses into
+it as a link, by its shape alone: the generators moved to slots 0..k-1 of their union and sorted,
 which parts of different ideals share.  The caller passes the union it
 already holds (``betti_table`` its covered union, a reduction the ground set
 of its link), and each run of missing slots is squeezed out by one shift.
@@ -367,7 +383,20 @@ def _part_homology(gens, universe: int) -> dict[int, int]:
 
     Each run of slots missing below the top of the union is squeezed out by
     shifting the slots above it down by its length, the highest run first,
-    so that the lower runs keep their places."""
+    so that the lower runs keep their places.  Parts of at most three
+    generators are answered in closed form, with no key at all."""
+    count = len(gens)
+    if count <= 3:
+        size = universe.bit_count()
+        if count == 1:
+            return {size - 2: 1}
+        if count == 2:
+            return {size - 3: 1}
+        a, b, c = gens
+        e = (a | b != universe) + (a | c != universe) + (b | c != universe)
+        if e <= 1:
+            return {size - 3: 2 - e}
+        return {size - 4: 1} if e == 3 else {}
     gaps = ~universe & ((1 << universe.bit_length()) - 1)
     while gaps:
         top = gaps.bit_length()
@@ -394,12 +423,7 @@ def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
     if private:
         v = private & -private
         g = next(h for h in gens if h & v)
-        shift = g.bit_count() - 1
-        rest = once & ~g
-        if not rest:
-            return {shift - 1: 1}
-        link = monomial_ideal(rest.bit_length(), (h & ~g for h in gens if h != g))
-        return _shifted_link(rest, link.min_gens, shift)
+        return _shifted_link(once & ~g, _private_link(gens, g), g.bit_count() - 1)
     m = once
     while m:
         w = m & -m
@@ -414,6 +438,24 @@ def _shape_homology(gens: tuple[int, ...]) -> dict[int, int]:
             return _shifted_link(once ^ u, _dominated_link(gens, u), 1)
     ranks = _homology_ranks(_relative_faces(gens))
     return {d: r for d, r in ranks.items() if r}
+
+
+def _private_link(gens, g: int) -> list[int]:
+    """The minimal sets among h - g (h != g), for the antichain ``gens`` and
+    its member g, written directly instead of by ``monomial_ideal``.
+
+    The sets h - g of the generators h meeting g are minimalized among
+    themselves, smallest first.  A generator h disjoint from g is its own
+    set.  It lies inside no h' - g, which would put it inside h', so those
+    minimal sets stay minimal; and no other generator lies inside it, so it
+    is minimal unless it contains one of them.
+    """
+    meeting = sorted({h & ~g for h in gens if h & g and h != g}, key=int.bit_count)
+    kept: list[int] = []
+    for m in meeting:
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return kept + [h for h in gens if not h & g and not any(k & ~h == 0 for k in kept)]
 
 
 def _dominated_link(gens, u: int) -> list[int]:

@@ -23,7 +23,10 @@ test is the same search with the child's own columns as the target; it
 stops at the first smaller column.  No class is met twice, so nothing is
 deduplicated.  The children of one parent (``_children``) need nothing from
 any other class, so the census generates its top level one parent per task
-in its worker pool.
+in its worker pool.  The census keeps only connected classes, and it tests
+only connected candidates for canonicity: a child is connected exactly when
+the new vertex has a neighbour in every component of its parent, which is
+read off the column before any search.
 """
 
 from __future__ import annotations
@@ -392,16 +395,26 @@ def canonical_form(G: Graph) -> bytes:
     return _pack_graph6(n, _least_columns(G.adj))
 
 
-def _children(H: Graph) -> list[Graph]:
+def _children(H: Graph, connected: bool = False) -> list[Graph]:
     """The canonically labeled children of the canonically labeled H, canonical order.
 
     H gets a new last vertex with each neighbour set, in the order of its
-    column; a child is kept when it is its own least string.
+    column; a child is kept when it is its own least string.  With
+    ``connected``, only the connected children are tested: a child is
+    connected exactly when its new vertex has a neighbour in every
+    component of H.
     """
     last = H.n
     target = _columns(H.adj) + [0]
+    # each component as a column: vertex i is the bit last - 1 - i
+    comps = [
+        sum(1 << (last - 1 - i) for i in range(last) if c >> i & 1)
+        for c in _component_masks(H.adj, H.full_mask())
+    ]
     out = []
     for col in range(1 << last):
+        if connected and not all(col & c for c in comps):
+            continue
         # moving the new vertex to place p keeps the columns before p and
         # makes its own first p bits column p: a cheap, exact rejection
         if any(col >> (last - p) < target[p] for p in range(1, last)):

@@ -37,6 +37,7 @@ from bei.oracle import (
 ACCEPT_MAX_N = int(os.environ.get("BEI_ACCEPT_MAX_N", "7"))
 JOBS = int(os.environ.get("BEI_JOBS", str(os.cpu_count() or 1)))
 CENSUS_N6_SHA256 = "340748b0af83117a8022f3736f963c1b9cf0822a5efe2b6cac90435b2d8876b7"
+CENSUS_N7_SHA256 = "98425a08f004555764ca8d138b167230640fe740a0ccfdd4bf5f05576c9a0430"
 
 _timings: dict[str, float] = {}
 
@@ -236,3 +237,12 @@ def test_criterion_10_census_determinism(tmp_path):
         # the census-n6 bytes that perfbench/reference/census_n6.jsonl pins
         assert hashlib.sha256(one.read_bytes()).hexdigest() == CENSUS_N6_SHA256
         assert time.monotonic() - start < 900
+
+
+def test_census_n7_bytes_are_pinned(records_full):
+    tier, recs = records_full
+    if tier < 7:
+        pytest.skip(f"BEI_ACCEPT_MAX_N lowers the census tier to {tier}")
+    ordered = sorted(recs.values(), key=lambda r: (r.n, r.graph6.encode("ascii")))
+    data = "".join(r.to_json() + "\n" for r in ordered).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == CENSUS_N7_SHA256

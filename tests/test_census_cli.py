@@ -128,9 +128,9 @@ def test_census_rerun_analyzes_only_new_classes(tmp_path, monkeypatch):
     analyzed = []
     real = census.analyze
 
-    def counted(g):
+    def counted(g, key):
         analyzed.append(g.n)
-        return real(g)
+        return real(g, key)
 
     monkeypatch.setattr(census, "analyze", counted)
     run_census(5, str(out), jobs=1)
@@ -223,8 +223,8 @@ def test_analyze_computes_each_artifact_once(monkeypatch):
 
 
 def test_compute_records_keys_classes_without_canonical_form(monkeypatch):
-    # enumerated classes come canonically labeled, so only analyze() computes
-    # a canonical form: one per class
+    # enumerated classes come canonically labeled, and the worker hands each
+    # one's graph6 to analyze() as its key: no canonical form is computed
     calls = []
     original = graphs.canonical_form
 
@@ -237,7 +237,24 @@ def test_compute_records_keys_classes_without_canonical_form(monkeypatch):
             monkeypatch.setattr(mod, "canonical_form", counted)
     records = census.compute_records(5, jobs=1, reuse={})
     assert len(records) == 30
-    assert len(calls) == 30
+    assert len(calls) == 0
+
+
+def test_census_tests_only_connected_children_for_canonicity(monkeypatch):
+    # the top level skips the disconnected children before their canonicity
+    # test: 339 searches for compute_records(6), against 620 for every child
+    calls = []
+    original = graphs._least_columns
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(graphs, "_least_columns", counted)
+    graphs._all_graphs.cache_clear()  # the lower levels are enumerated afresh
+    records = census.compute_records(6, jobs=1, reuse={})
+    assert len(records) == 142
+    assert len(calls) == 339
 
 
 def test_census_counts():
@@ -594,10 +611,10 @@ def test_cli_census_worker_failure_names_the_class(tmp_path, monkeypatch):
         (ResourceBudgetError, 3, "error: "),
         (RouteDisagreementError, 1, "ROUTE DISAGREEMENT: "),
     ):
-        def planted(g, error=error):
-            if census.canonical_form(g) == b"C~":  # K4
+        def planted(g, key, error=error):
+            if key == "C~":  # K4
                 raise error("planted fault")
-            return real(g)
+            return real(g, key)
 
         monkeypatch.setattr(census, "analyze", planted)
         argv = ["census", "--max-n", "5", "--out", str(out), "--jobs", "2"]

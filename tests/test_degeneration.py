@@ -318,21 +318,56 @@ def full_face_homology(gens):
     return nonzero(_homology_ranks(faces_by_size(universe, gens)))
 
 
+def closed_form_parts(monkeypatch) -> dict:
+    """Record the shape and answer of every part of at most three generators,
+    which ``_part_homology`` answers in closed form and never caches."""
+    parts = {}
+    real = degeneration._part_homology
+
+    def recorded(gens, universe):
+        vec = real(gens, universe)
+        if len(gens) <= 3:
+            parts[compressed(gens)] = vec
+        return vec
+
+    monkeypatch.setattr(degeneration, "_part_homology", recorded)
+    return parts
+
+
+def closed_form_case(shape):
+    """The generator count, and for three generators also the number e of
+    pairs whose union is not the whole union."""
+    if len(shape) < 3:
+        return len(shape)
+    a, b, c = shape
+    universe = a | b | c
+    return 3, sum(x | y != universe for x, y in ((a, b), (a, c), (b, c)))
+
+
+CLOSED_FORM_CASES = {1, 2, (3, 0), (3, 1), (3, 2), (3, 3)}
+
+
 def test_part_homology_matches_full_face_table_on_census_parts(monkeypatch):
     # every part of the n <= 6 initial ideals' tables, then the new parts of
-    # their Alexander duals' tables up to n = 5.  The cache holds each part,
-    # and each link the reductions recurse into, under its compressed shape
-    # alone, and every shape is checked against its full face table.
+    # their Alexander duals' tables up to n = 5.  The cache holds each part of
+    # four or more generators, and each such link the reductions recurse
+    # into, under its compressed shape alone; the smaller parts are recorded
+    # on the way.  Every shape is checked against its full face table.
     cache = {}
     monkeypatch.setattr(degeneration, "_PART_CACHE", cache)
+    closed = closed_form_parts(monkeypatch)
     for g in census_graphs(6):
         betti_table(initial_ideal(g))
-    assert len(cache) == 21956
+    assert len(cache) == 21435
     for g in census_graphs(5):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(cache) == 22357
+    assert len(cache) == 21727
     for shape, vec in cache.items():
+        assert len(shape) > 3, shape
         assert shape == compressed(shape), shape
+        assert vec == full_face_homology(shape), shape
+    assert {closed_form_case(shape) for shape in closed} == CLOSED_FORM_CASES
+    for shape, vec in closed.items():
         assert vec == full_face_homology(shape), shape
 
 
@@ -349,11 +384,16 @@ def test_unreduced_dual_parts_match_full_face_table_at_n6(monkeypatch):
         return kernel(gens)
 
     monkeypatch.setattr(degeneration, "_relative_faces", recorded)
+    closed = closed_form_parts(monkeypatch)
     for g in census_graphs(6):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(unreduced) == len(set(unreduced)) == 99
+    assert len(unreduced) == len(set(unreduced)) == 98
     for shape in unreduced:
         assert cache[shape] == full_face_homology(shape), shape
+    # the parts of at most three generators, answered in closed form
+    assert {closed_form_case(shape) for shape in closed} == CLOSED_FORM_CASES
+    for shape, vec in closed.items():
+        assert vec == full_face_homology(shape), shape
 
 
 def test_dominated_link_is_the_minimalized_link_on_census_duals(monkeypatch):
@@ -370,7 +410,7 @@ def test_dominated_link_is_the_minimalized_link_on_census_duals(monkeypatch):
     monkeypatch.setattr(degeneration, "_dominated_link", recorded)
     for g in census_graphs(6):
         betti_table(_alexander_dual(initial_ideal(g)))
-    assert len(branches) == 2329
+    assert len(branches) == 2230
 
     def minimalized(gens, u):
         return sorted(monomial_ideal(16, (g & ~u for g in gens)).min_gens)
@@ -381,6 +421,35 @@ def test_dominated_link_is_the_minimalized_link_on_census_duals(monkeypatch):
 
     assert all(sorted(direct(gens, u)) == minimalized(gens, u) for gens, u in branches)
     assert any(sorted(planted(gens, u)) != minimalized(gens, u) for gens, u in branches)
+
+
+def test_private_link_is_the_minimalized_link_on_census_duals(monkeypatch):
+    # every private-vertex branch that the n <= 6 dual tables reach: the link
+    # written directly equals monomial_ideal of the sets h - g, h != g
+    branches = []
+    direct = degeneration._private_link
+
+    def recorded(gens, g):
+        branches.append((tuple(gens), g))
+        return direct(gens, g)
+
+    monkeypatch.setattr(degeneration, "_PART_CACHE", {})
+    monkeypatch.setattr(degeneration, "_private_link", recorded)
+    for g in census_graphs(6):
+        betti_table(_alexander_dual(initial_ideal(g)))
+    assert len(branches) == 1634
+
+    def minimalized(gens, g):
+        return sorted(monomial_ideal(16, (h & ~g for h in gens if h != g)).min_gens)
+
+    def planted(gens, g):
+        # keeps every h disjoint from g, also one that contains some h' - g
+        meeting = [h & ~g for h in gens if h & g and h != g]
+        kept = monomial_ideal(16, meeting).min_gens if meeting else ()
+        return [*kept, *(h for h in gens if not h & g)]
+
+    assert all(sorted(direct(gens, g)) == minimalized(gens, g) for gens, g in branches)
+    assert any(sorted(planted(gens, g)) != minimalized(gens, g) for gens, g in branches)
 
 
 @st.composite
@@ -417,18 +486,23 @@ def dual_like_sets(draw):
 
 
 @given(generator_sets() | dual_like_sets())
+# closed forms: e counts the pairs of three generators whose union is not W
 @example((0b1,))  # one singleton: only the empty face, H_{-1} = 1
-@example((0b01, 0b10))  # two singletons, reduced twice
+@example((0b01, 0b10))  # two singletons: H_{-1} = 1
 @example((0b111,))  # the boundary of a triangle: H_1 = 1
-@example((0b0011, 0b0110, 0b1100))  # after reducing at slot 0, {2} cones off slot 3
+@example((0b011, 0b110, 0b101))  # e = 0: H_0 = 2
+@example((0b0111, 0b1011, 0b1101))  # e = 0 with slot 0 in every generator: H_1 = 2
+@example((0b0011, 0b1110, 0b0101))  # e = 1: H_1 = 1
+@example((0b0011, 0b0110, 0b1100))  # e = 2: acyclic
+@example((0b000011, 0b001100, 0b110000))  # e = 3: three disjoint pairs, H_2 = 1
+# four or more generators: the reductions and the relative kernel
 @example((0b00011, 0b00110, 0b01100, 0b11000))  # a chain of private vertices
-@example((0b011, 0b110, 0b101))  # no private or dominated vertex: the relative kernel
-@example((0b0101, 0b1010, 0b0110, 0b1001))  # a 4-cycle of generators, H_0 = 1
-@example((0b0111, 0b1011, 0b1101))  # slot 0 in every generator: a suspension, H_1 = 2
-@example((0b0110, 0b1011, 0b1101))  # slot 3 dominated by slot 0, not in 0b0110
+@example((0b0101, 0b1010, 0b0110, 0b1001))  # a 4-cycle, no private or dominated vertex
+@example((0b00111, 0b01011, 0b10110, 0b11010))  # slot 1 in every generator: a suspension
+@example((0b001001, 0b100001, 0b011100, 0b110100))  # all through slot 2 contain slot 4
 # removing slot 0 leaves slot 3 in no minimal generator: a cone
 @example((0b000111, 0b010101, 0b011100, 0b100011, 0b110001, 0b111000))
-@example((0b00111, 0b11001, 0b11110))  # dominated slots removed twice in a row
+@example((0b000011, 0b001001, 0b110110, 0b111100))  # dominated slots removed twice in a row
 @settings(max_examples=300, deadline=None)
 def test_part_homology_against_full_face_table(gens):
     universe = 0
@@ -436,10 +510,11 @@ def test_part_homology_against_full_face_table(gens):
         universe |= g
     with patch.object(degeneration, "_PART_CACHE", {}) as cache:
         assert _part_homology(gens, universe) == full_face_homology(gens)
-        # the second lookup hits the shape, the only key of the part
+        # the second lookup hits the shape, the only key of the part; a part
+        # of at most three generators is answered in closed form, uncached
         assert _part_homology(gens, universe) == full_face_homology(gens)
-        assert compressed(gens) in cache
-        assert all(key == compressed(key) for key in cache)
+        assert (compressed(gens) in cache) == (len(gens) > 3)
+        assert all(key == compressed(key) and len(key) > 3 for key in cache)
 
 
 @given(dual_like_sets())

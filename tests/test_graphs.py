@@ -335,6 +335,13 @@ def test_children_of_each_level_make_the_next():
         assert all(induced_on(G, range(1, n)).graph == H for H, G in children)
 
 
+def test_connected_children_are_the_connected_members_of_all_children():
+    for n in range(1, 7):
+        for H in _all_graphs(n):
+            every = _children(H)
+            assert _children(H, connected=True) == [G for G in every if is_connected(G)]
+
+
 def test_enumeration_is_canonically_labeled():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
